@@ -15,11 +15,11 @@
 //! the same checkpoint block on one builder and share the blob. On disk,
 //! each checkpoint is one `<digest>.simchk` file written via
 //! temp-file-and-rename, so a crashed or concurrent writer can never
-//! publish a torn file; unreadable or stale-version files are rebuilt,
-//! never trusted.
+//! publish a torn file; unreadable, stale-version or undecodable files
+//! are rebuilt, never trusted.
 
 use simbase::digest::Digest;
-use simbase::snapshot;
+use simbase::snapshot::{self, SnapshotError};
 use simsched::store::RunStore;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -43,6 +43,7 @@ pub struct CheckpointStore {
     misses: AtomicU64,
     budget: Option<u64>,
     pruned: AtomicU64,
+    corrupt: AtomicU64,
     pins: Mutex<HashMap<u128, usize>>,
 }
 
@@ -84,6 +85,7 @@ impl CheckpointStore {
             misses: AtomicU64::new(0),
             budget: None,
             pruned: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
             pins: Mutex::new(HashMap::new()),
         })
     }
@@ -125,37 +127,63 @@ impl CheckpointStore {
         self.dir.join(format!("{}.{}", digest.hex(), CHECKPOINT_EXT))
     }
 
-    /// Returns the checkpoint payload for `digest`, running `build` only
-    /// if no valid checkpoint exists in memory or on disk. A freshly
-    /// built payload is sealed and published to disk (best-effort: a
-    /// write failure degrades to in-process caching, it does not fail
-    /// the run). The returned flag is `true` on a hit.
-    pub fn get_or_build(
+    /// Returns a state restored from the checkpoint for `digest`, with
+    /// the payload it was restored from and a flag that is `true` on a
+    /// hit.
+    ///
+    /// The state starts as `fresh()`. A valid checkpoint in memory or on
+    /// disk is decoded into it with `load`; otherwise `build` runs the
+    /// warm-up on it and returns the payload, which is sealed, published
+    /// to disk (best-effort: a write failure degrades to in-process
+    /// caching, it does not fail the run) and then decoded into the
+    /// state too, so a cold and a warm run restore through the same
+    /// `load`. A file whose seal is intact but whose payload `load`
+    /// rejects (a plugin layout that changed without a
+    /// [`CHECKPOINT_VERSION`] bump) counts as [`corrupt`](Self::corrupt)
+    /// and is rebuilt over a second `fresh()` state, since the failed
+    /// `load` has already mutated the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `load` rejects a payload that `build` produced in this
+    /// process: the state's save and load disagree, a program error no
+    /// rebuild can mend.
+    pub fn get_or_build<T>(
         &self,
         digest: Digest,
-        build: impl FnOnce() -> Vec<u8>,
-    ) -> (Arc<Vec<u8>>, bool) {
+        mut fresh: impl FnMut() -> T,
+        build: impl FnOnce(&mut T) -> Vec<u8>,
+        load: impl Fn(&mut T, &[u8]) -> Result<(), SnapshotError>,
+    ) -> (T, Arc<Vec<u8>>, bool) {
+        let mut state = fresh();
         let mut built = false;
+        let mut loaded = false;
         let _pin = self.pin(digest);
         let blob = self.blobs.get_or_compute(digest.raw(), || {
             let path = self.path_of(digest);
             if let Ok(bytes) = std::fs::read(&path) {
                 if let Ok(payload) = snapshot::open(&bytes, CHECKPOINT_VERSION) {
-                    // Refresh the file's recency so the LRU pruner ranks
-                    // live checkpoints above abandoned ones (best-effort;
-                    // a read-only directory just loses recency).
-                    if let Ok(f) = std::fs::File::options().append(true).open(&path) {
-                        let _ = f.set_modified(std::time::SystemTime::now());
+                    if load(&mut state, payload).is_ok() {
+                        // Refresh the file's recency so the LRU pruner
+                        // ranks live checkpoints above abandoned ones
+                        // (best-effort; a read-only directory just loses
+                        // recency).
+                        if let Ok(f) = std::fs::File::options().append(true).open(&path) {
+                            let _ = f.set_modified(std::time::SystemTime::now());
+                        }
+                        loaded = true;
+                        return payload.to_vec();
                     }
-                    return payload.to_vec();
+                    self.corrupt.fetch_add(1, Ordering::Relaxed);
+                    state = fresh();
                 }
             }
             built = true;
-            let payload = build();
+            let payload = build(&mut state);
             let sealed = snapshot::seal(CHECKPOINT_VERSION, &payload);
             // The temp name must be unique per writer: the in-process
             // store single-flights builders, but two *stores* over the
-            // same directory (two daemon processes, a sweep racing a CI
+            // same directory (two `repro` processes, a sweep racing a CI
             // job) can build the same digest concurrently, and a shared
             // `<digest>.tmp` would let their writes interleave into one
             // file — publishing a torn checkpoint through the rename.
@@ -175,6 +203,9 @@ impl CheckpointStore {
             }
             payload
         });
+        if !loaded {
+            load(&mut state, &blob).expect("checkpoint: a payload built in this process must load");
+        }
         if built {
             self.misses.fetch_add(1, Ordering::Relaxed);
             // A fresh publish is the only event that grows the directory,
@@ -183,7 +214,7 @@ impl CheckpointStore {
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        (blob, !built)
+        (state, blob, !built)
     }
 
     /// Evicts least-recently-used `.simchk` files until the directory
@@ -252,6 +283,11 @@ impl CheckpointStore {
     pub fn pruned(&self) -> u64 {
         self.pruned.load(Ordering::Relaxed)
     }
+
+    /// Checkpoint files that opened but failed to load, and were rebuilt.
+    pub fn corrupt(&self) -> u64 {
+        self.corrupt.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -266,6 +302,23 @@ mod tests {
         h.digest()
     }
 
+    /// [`CheckpointStore::get_or_build`] over plain byte payloads: the
+    /// restored state is a copy of the payload.
+    fn bytes(
+        store: &CheckpointStore,
+        d: Digest,
+        build: impl FnOnce() -> Vec<u8>,
+    ) -> (Arc<Vec<u8>>, bool) {
+        let load = |state: &mut Vec<u8>, payload: &[u8]| {
+            state.clear();
+            state.extend_from_slice(payload);
+            Ok(())
+        };
+        let (state, blob, hit) = store.get_or_build(d, Vec::new, |_| build(), load);
+        assert_eq!(state, *blob, "the state is restored from the returned payload");
+        (blob, hit)
+    }
+
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("simchk-test-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -276,16 +329,16 @@ mod tests {
     fn builds_once_then_hits_in_process_and_on_disk() {
         let dir = temp_dir("hits");
         let store = CheckpointStore::open(&dir).expect("open");
-        let (a, hit_a) = store.get_or_build(digest(1), || vec![1, 2, 3]);
+        let (a, hit_a) = bytes(&store, digest(1), || vec![1, 2, 3]);
         assert!(!hit_a, "first request must build");
-        let (b, hit_b) = store.get_or_build(digest(1), || panic!("must not rebuild"));
+        let (b, hit_b) = bytes(&store, digest(1), || panic!("must not rebuild"));
         assert!(hit_b);
         assert_eq!(*a, *b);
         assert_eq!((store.hits(), store.misses()), (1, 1));
 
         // A second store over the same directory hits from disk.
         let warm = CheckpointStore::open(&dir).expect("reopen");
-        let (c, hit_c) = warm.get_or_build(digest(1), || panic!("must load from disk"));
+        let (c, hit_c) = bytes(&warm, digest(1), || panic!("must load from disk"));
         assert!(hit_c);
         assert_eq!(*c, vec![1, 2, 3]);
         assert_eq!((warm.hits(), warm.misses()), (1, 0));
@@ -298,7 +351,7 @@ mod tests {
         let store = CheckpointStore::open(&dir).expect("open");
         let path = store.path_of(digest(2));
         std::fs::write(&path, b"not a checkpoint").expect("plant corruption");
-        let (blob, hit) = store.get_or_build(digest(2), || vec![9; 64]);
+        let (blob, hit) = bytes(&store, digest(2), || vec![9; 64]);
         assert!(!hit, "corrupt file must not count as a hit");
         assert_eq!(*blob, vec![9; 64]);
 
@@ -310,8 +363,49 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_payloads_are_rebuilt_over_a_fresh_state() {
+        let dir = temp_dir("undecodable");
+        let store = CheckpointStore::open(&dir).expect("open");
+        // Correctly sealed, so `snapshot::open` accepts it, but the
+        // loader wants an 8-byte payload.
+        let path = store.path_of(digest(5));
+        std::fs::write(&path, snapshot::seal(CHECKPOINT_VERSION, &[1; 3])).expect("plant");
+        let fresh_states = std::cell::Cell::new(0);
+        let load = |state: &mut Vec<u8>, payload: &[u8]| {
+            // A partial load mutates the state before it fails.
+            state.push(0xEE);
+            if payload.len() != 8 {
+                return Err(SnapshotError::Malformed("payload length"));
+            }
+            state.clear();
+            state.extend_from_slice(payload);
+            Ok(())
+        };
+        let fresh = || {
+            fresh_states.set(fresh_states.get() + 1);
+            Vec::new()
+        };
+        let build = |state: &mut Vec<u8>| {
+            assert!(state.is_empty(), "the rebuild must start from a fresh state");
+            vec![8; 8]
+        };
+        let (state, blob, hit) = store.get_or_build(digest(5), fresh, build, load);
+        assert!(!hit, "an undecodable file is a miss");
+        assert_eq!((state, (*blob).clone()), (vec![8; 8], vec![8; 8]));
+        assert_eq!(fresh_states.get(), 2);
+        assert_eq!((store.hits(), store.misses(), store.corrupt()), (0, 1, 1));
+
+        // The rebuilt file replaced the bad one: a new store hits it.
+        let warm = CheckpointStore::open(&dir).expect("reopen");
+        let (_, hit) = bytes(&warm, digest(5), || panic!("must load from disk"));
+        assert!(hit);
+        assert_eq!(warm.corrupt(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn two_stores_racing_the_same_digest_publish_a_valid_checkpoint() {
-        // Models two daemon/CI processes sharing one checkpoint
+        // Models two `repro`/CI processes sharing one checkpoint
         // directory: each process has its own store (so the in-process
         // single-flight does NOT serialize them) and both build the same
         // digest at the same moment. The on-disk protocol must hold:
@@ -329,7 +423,7 @@ mod tests {
                 for store in [&a, &b] {
                     s.spawn(|| {
                         barrier.wait();
-                        let (blob, _) = store.get_or_build(d, || payload.clone());
+                        let (blob, _) = bytes(store, d, || payload.clone());
                         assert_eq!(*blob, payload, "round {round}: payload mismatch");
                     });
                 }
@@ -369,7 +463,7 @@ mod tests {
         // Each sealed file is 64 bytes payload + the 36-byte envelope.
         let plain = CheckpointStore::open(&dir).expect("open");
         for tag in 0..3u64 {
-            plain.get_or_build(digest(10 + tag), || vec![tag as u8; 64]);
+            bytes(&plain, digest(10 + tag), || vec![tag as u8; 64]);
             set_age(&plain, digest(10 + tag), 300 - tag * 100);
         }
         // An unbudgeted store never prunes.
@@ -391,14 +485,14 @@ mod tests {
         let dir = temp_dir("prune-pin");
         let store = CheckpointStore::open(&dir).expect("open").with_budget(Some(220));
         let held = digest(20);
-        store.get_or_build(held, || vec![1; 64]);
+        bytes(&store, held, || vec![1; 64]);
         set_age(&store, held, 1_000); // oldest: first in LRU eviction order
         let guard = store.pin(held);
 
         // Publishing two more files (300 bytes total) forces pruning on
         // each publish; the pinned LRU file must be skipped every time.
-        store.get_or_build(digest(21), || vec![2; 64]);
-        store.get_or_build(digest(22), || vec![3; 64]);
+        bytes(&store, digest(21), || vec![2; 64]);
+        bytes(&store, digest(22), || vec![3; 64]);
         store.prune_to_budget();
         assert!(
             store.path_of(held).exists(),
@@ -410,7 +504,7 @@ mod tests {
         // next publish that busts the budget evicts it.
         drop(guard);
         set_age(&store, held, 1_000);
-        store.get_or_build(digest(23), || vec![4; 64]);
+        bytes(&store, digest(23), || vec![4; 64]);
         assert!(!store.path_of(held).exists(), "unpinned LRU file must go");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -419,12 +513,12 @@ mod tests {
     fn disk_hits_refresh_recency() {
         let dir = temp_dir("prune-touch");
         let a = CheckpointStore::open(&dir).expect("open");
-        a.get_or_build(digest(30), || vec![7; 64]);
+        bytes(&a, digest(30), || vec![7; 64]);
         set_age(&a, digest(30), 5_000);
         let before = std::fs::metadata(a.path_of(digest(30))).unwrap().modified().unwrap();
         // A fresh store's disk hit must touch the file forward.
         let b = CheckpointStore::open(&dir).expect("reopen");
-        b.get_or_build(digest(30), || panic!("must hit from disk"));
+        bytes(&b, digest(30), || panic!("must hit from disk"));
         let after = std::fs::metadata(b.path_of(digest(30))).unwrap().modified().unwrap();
         assert!(after > before, "hit must refresh mtime for LRU ranking");
         let _ = std::fs::remove_dir_all(&dir);
@@ -434,8 +528,8 @@ mod tests {
     fn distinct_digests_do_not_alias() {
         let dir = temp_dir("alias");
         let store = CheckpointStore::open(&dir).expect("open");
-        let (a, _) = store.get_or_build(digest(3), || vec![3]);
-        let (b, _) = store.get_or_build(digest(4), || vec![4]);
+        let (a, _) = bytes(&store, digest(3), || vec![3]);
+        let (b, _) = bytes(&store, digest(4), || vec![4]);
         assert_ne!(*a, *b);
         assert_eq!(store.misses(), 2);
         let _ = std::fs::remove_dir_all(&dir);

@@ -197,29 +197,40 @@ pub fn run_cmp_opts(
     let apps = cmp_profiles(cores);
     let per_core_warm = (scale.warmup / u64::from(cores)).max(1);
     let per_core_measure = (scale.measure / u64::from(cores)).max(1);
-    let mut sys = CmpSystem::new(cfg, kind.build(), &apps, TRACE_SEED);
+    let fresh = || CmpSystem::new(cfg, kind.build(), &apps, TRACE_SEED);
     let label = format!("cmp{cores}x/{key}");
 
     let t_warm = Instant::now();
-    match opts.checkpoints {
+    let mut sys = match opts.checkpoints {
         Some(store) => {
             let chk = cmp_warmup_digest(&cfg, &apps, kind, scale);
-            let (blob, hit) = store.get_or_build(chk, || {
-                sys.warm_run(per_core_warm);
-                let mut e = Encoder::new();
-                sys.save_state(&mut e);
-                e.into_bytes()
-            });
-            let mut d = Decoder::new(&blob);
-            sys.load_state(&mut d).expect("cmp checkpoint: state");
-            d.finish().expect("cmp checkpoint: trailing bytes");
+            let (sys, _, hit) = store.get_or_build(
+                chk,
+                fresh,
+                |sys| {
+                    sys.warm_run(per_core_warm);
+                    let mut e = Encoder::new();
+                    sys.save_state(&mut e);
+                    e.into_bytes()
+                },
+                |sys, payload| {
+                    let mut d = Decoder::new(payload);
+                    sys.load_state(&mut d)?;
+                    d.finish()
+                },
+            );
             if let Some(w) = opts.wall {
                 let outcome = if hit { "hit" } else { "miss" };
                 w.wall_mark("simchk", &format!("{outcome}/{label}"));
             }
+            sys
         }
-        None => sys.warm_run(per_core_warm),
-    }
+        None => {
+            let mut sys = fresh();
+            sys.warm_run(per_core_warm);
+            sys
+        }
+    };
     if let Some(w) = opts.wall {
         let name = format!("{label}/{per_core_warm}-ops");
         w.wall_span("warmup-cmp", &name, t_warm.elapsed().as_nanos() as u64);

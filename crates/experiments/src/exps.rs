@@ -127,9 +127,9 @@ impl Sweep {
         Ok(self)
     }
 
-    /// Attaches an **existing** checkpoint store (shared with other
-    /// sweeps — e.g. every per-request sweep of the serving daemon
-    /// shares one store so its hit/miss counters are daemon-wide).
+    /// Attaches an **existing** checkpoint store (the `repro` binary's,
+    /// opened with its prune budget; or one shared with other sweeps, so
+    /// their hit/miss counters add up in one place).
     #[must_use]
     pub fn with_checkpoint_store(mut self, store: Arc<CheckpointStore>) -> Self {
         self.checkpoints = Some(store);

@@ -76,9 +76,9 @@ pub fn resolve_ids(exp: &str) -> Option<Vec<&'static str>> {
 /// prints them to stdout: the union of their configuration keys is
 /// prewarmed on the sweep's worker pool, then each experiment's text
 /// (or TSV, when requested and the experiment has one) is emitted
-/// followed by a newline. This is the single rendering entry point
-/// shared by the `repro` binary and the `simserve` daemon, so a served
-/// report cannot drift from the in-process one by a byte.
+/// followed by a newline. This is the single rendering entry point of
+/// the `repro` binary, so its stdout and the golden tests that call
+/// this function cannot drift apart by a byte.
 ///
 /// # Panics
 ///

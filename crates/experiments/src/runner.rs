@@ -24,7 +24,7 @@ use nuca::{CnucaConfig, CompressedNucaCache, DnucaCache, DnucaConfig, SearchPoli
 use nurapid::coupled::CoupledCache;
 use nurapid::{DistanceVictimPolicy, NuRapidCache, NuRapidConfig, PromotionPolicy};
 use simbase::digest::{Digest, Hasher128};
-use simbase::snapshot::{Decoder, Encoder};
+use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::EnergyNj;
 use simtel::{Telemetry, TelemetrySink};
 use std::time::Instant;
@@ -433,32 +433,53 @@ pub fn run_app_opts(
     opts: RunOptions<'_>,
 ) -> AppRun {
     let chk = warmup_digest(&profile, kind, scale);
-    let (core, mem) = drive(
-        profile,
-        kind.build(),
-        scale,
-        sink,
-        snap_every,
-        chk,
-        opts,
-        kind.resize_schedule(),
-    );
+    let (core, mem) = drive(profile, kind, scale, sink, snap_every, chk, opts);
     let report = mem.lower().report();
     let l4 = mem.lower().main_memory().and_then(|m| m.l4_stats());
     finish_run(profile.name, core, mem.l1_accesses(), report, l4)
 }
 
 /// Runs the warm-up instructions on `core` in the requested mode.
-fn warm_up(
-    core: &mut OooCore<Box<dyn Organization>>,
-    gen: &mut TraceGenerator,
-    n: u64,
-    mode: WarmupMode,
-) {
+fn warm_up((core, gen): &mut ArchState, n: u64, mode: WarmupMode) {
     match mode {
         WarmupMode::FastForward => core.warm_run(gen, n),
         WarmupMode::Timed => core.run(gen, n),
     }
+}
+
+/// A single-core system's architectural state: the core (with its
+/// predictor, L1s and lower organization) and the trace generator.
+pub(crate) type ArchState = (OooCore<Box<dyn Organization>>, TraceGenerator);
+
+/// A fresh, prefilled system at trace offset zero.
+pub(crate) fn fresh_arch(profile: BenchProfile, kind: &L2Kind) -> ArchState {
+    let mut lower = kind.build();
+    lower.prefill();
+    let mem = CoreMemSystem::micro2003(lower);
+    let core = OooCore::new(CoreParams::micro2003(), mem);
+    (core, TraceGenerator::new(profile, TRACE_SEED))
+}
+
+/// Serialises the architectural state in the checkpoint payload order:
+/// generator, predictor, L1, lower organization.
+pub(crate) fn save_arch((core, gen): &ArchState) -> Vec<u8> {
+    let mut e = Encoder::new();
+    gen.save_state(&mut e);
+    core.predictor().save_state(&mut e);
+    core.mem().save_l1_state(&mut e);
+    core.mem().lower().save_state(&mut e);
+    e.into_bytes()
+}
+
+/// Restores a [`save_arch`] payload. On an error the state is partly
+/// overwritten and must be discarded.
+pub(crate) fn load_arch((core, gen): &mut ArchState, payload: &[u8]) -> Result<(), SnapshotError> {
+    let mut d = Decoder::new(payload);
+    gen.load_state(&mut d)?;
+    core.predictor_mut().load_state(&mut d)?;
+    core.mem_mut().load_l1_state(&mut d)?;
+    core.mem_mut().lower_mut().load_state(&mut d)?;
+    d.finish()
 }
 
 /// Runs prefill, warm-up (optionally restored from a checkpoint), and
@@ -468,54 +489,41 @@ fn warm_up(
 /// transient runs cross the identical barrier as everything else.
 fn prepare(
     profile: BenchProfile,
-    mut lower: Box<dyn Organization>,
+    kind: &L2Kind,
     scale: Scale,
     sink: &TelemetrySink,
     snap_every: u64,
     chk_digest: Digest,
     opts: RunOptions<'_>,
-) -> (OooCore<Box<dyn Organization>>, TraceGenerator) {
-    let mut gen = TraceGenerator::new(profile, TRACE_SEED);
-    lower.prefill();
-    let mem = CoreMemSystem::micro2003(lower);
-    let mut core = OooCore::new(CoreParams::micro2003(), mem);
-
+) -> ArchState {
     // Phase 1 — warm-up. Telemetry stays detached: warm-up produces
     // architectural state only. With a checkpoint store, the state comes
     // out of a decoded blob on both the build and the reuse path, so the
     // cold and warm runs are structurally identical by construction.
     let t_warm = Instant::now();
-    match opts.checkpoints {
+    let (core, gen) = match opts.checkpoints {
         Some(store) => {
-            let (blob, hit) = store.get_or_build(chk_digest, || {
-                warm_up(&mut core, &mut gen, scale.warmup, opts.mode);
-                let mut e = Encoder::new();
-                gen.save_state(&mut e);
-                core.predictor().save_state(&mut e);
-                core.mem().save_l1_state(&mut e);
-                core.mem().lower().save_state(&mut e);
-                e.into_bytes()
-            });
-            let mut d = Decoder::new(&blob);
-            gen.load_state(&mut d).expect("checkpoint: generator state");
-            core.predictor_mut()
-                .load_state(&mut d)
-                .expect("checkpoint: predictor state");
-            core.mem_mut()
-                .load_l1_state(&mut d)
-                .expect("checkpoint: L1 state");
-            core.mem_mut()
-                .lower_mut()
-                .load_state(&mut d)
-                .expect("checkpoint: lower-cache state");
-            d.finish().expect("checkpoint: trailing bytes");
+            let (state, _, hit) = store.get_or_build(
+                chk_digest,
+                || fresh_arch(profile, kind),
+                |state| {
+                    warm_up(state, scale.warmup, opts.mode);
+                    save_arch(state)
+                },
+                load_arch,
+            );
             if let Some(w) = opts.wall {
                 let outcome = if hit { "hit" } else { "miss" };
                 w.wall_mark("simchk", &format!("{outcome}/{}", profile.name));
             }
+            state
         }
-        None => warm_up(&mut core, &mut gen, scale.warmup, opts.mode),
-    }
+        None => {
+            let mut state = fresh_arch(profile, kind);
+            warm_up(&mut state, scale.warmup, opts.mode);
+            state
+        }
+    };
     if let Some(w) = opts.wall {
         let cat = match opts.mode {
             WarmupMode::FastForward => "warmup-ff",
@@ -571,19 +579,18 @@ fn apply_resizes(
 /// phase, applying any L4 resize schedule at its op indices. Dispatches
 /// through the [`Organization`] trait only — this function is identical
 /// for every plugin.
-#[allow(clippy::too_many_arguments)]
 fn drive(
     profile: BenchProfile,
-    lower: Box<dyn Organization>,
+    kind: &L2Kind,
     scale: Scale,
     sink: &TelemetrySink,
     snap_every: u64,
     chk_digest: Digest,
     opts: RunOptions<'_>,
-    resizes: &[(u64, u32)],
 ) -> (CoreResult, CoreMemSystem<Box<dyn Organization>>) {
     let wall = opts.wall;
-    let (mut core, mut gen) = prepare(profile, lower, scale, sink, snap_every, chk_digest, opts);
+    let (mut core, mut gen) = prepare(profile, kind, scale, sink, snap_every, chk_digest, opts);
+    let resizes = kind.resize_schedule();
 
     // Phase 2 — the measured run.
     let t_measure = Instant::now();
@@ -641,7 +648,7 @@ pub fn run_app_transient(
     assert!(n_windows > 0, "a transient run needs at least one window");
     let chk = warmup_digest(&profile, kind, scale);
     let sink = TelemetrySink::disabled();
-    let (mut core, mut gen) = prepare(profile, kind.build(), scale, &sink, 0, chk, opts);
+    let (mut core, mut gen) = prepare(profile, kind, scale, &sink, 0, chk, opts);
     let resizes = kind.resize_schedule();
 
     let mut windows = Vec::with_capacity(n_windows);

@@ -37,21 +37,20 @@
 //! it. The estimator trades that for timing fidelity inside the windows
 //! only — the documented, quantified sampling error (`--exp sampling`).
 
-use crate::runner::{warmup_digest, AppRun, L2Kind, RunOptions, Scale, TRACE_SEED};
+use crate::runner::{
+    fresh_arch, load_arch, save_arch, warmup_digest, AppRun, ArchState, L2Kind, RunOptions, Scale,
+};
 use cpu::{CoreParams, CoreResult, OooCore};
 use energy::core::CoreEnergyModel;
 use energy::EnergyTally;
 use memsys::dramcache::L4Stats;
-use memsys::l1::CoreMemSystem;
-use memsys::org::Organization;
 use simbase::digest::{Digest, Hasher128};
-use simbase::snapshot::{Decoder, Encoder};
 use simbase::EnergyNj;
 use simsched::pool;
 use simtel::Telemetry;
 use std::sync::Arc;
 use std::time::Instant;
-use workloads::{BenchProfile, TraceGenerator};
+use workloads::BenchProfile;
 
 /// The sampling regime: every `period` measured instructions, one
 /// detailed window of `warmup` discarded ops (out-of-order pipeline
@@ -333,30 +332,6 @@ pub fn sampled_digest(
     h.digest()
 }
 
-type FunctionalState = (OooCore<Box<dyn Organization>>, TraceGenerator);
-
-/// A fresh system for the functional prefix pass.
-fn fresh_functional(profile: BenchProfile, kind: &L2Kind) -> FunctionalState {
-    let mut lower = kind.build();
-    lower.prefill();
-    let mem = CoreMemSystem::micro2003(lower);
-    let core = OooCore::new(CoreParams::micro2003(), mem);
-    let gen = TraceGenerator::new(profile, TRACE_SEED);
-    (core, gen)
-}
-
-/// Serialises the architectural state in the warm-up-checkpoint payload
-/// order (generator, predictor, L1, lower organization) — interval-0
-/// snapshots are byte-compatible with ordinary warm-up checkpoints.
-fn save_arch(core: &OooCore<Box<dyn Organization>>, gen: &TraceGenerator) -> Vec<u8> {
-    let mut e = Encoder::new();
-    gen.save_state(&mut e);
-    core.predictor().save_state(&mut e);
-    core.mem().save_l1_state(&mut e);
-    core.mem().lower().save_state(&mut e);
-    e.into_bytes()
-}
-
 /// Runs `profile` on `kind` at `scale` under the sampling regime `spec`,
 /// split into `intervals` interval jobs executed on up to `threads`
 /// worker threads. The result is **bit-identical for any thread count
@@ -399,14 +374,14 @@ pub fn run_app_sampled(
 
     // --- Phase 1: the snapshot chain (sequential functional prefix).
     // Interval i's snapshot is the architectural state at its first
-    // window's absolute trace offset. The chain is built lazily: a warm
-    // store answers every digest without touching `cur`; the first miss
-    // advances one functional system from wherever it stands (fresh, or
-    // the last offset a build left it at) — interval k−1's functional
-    // prefix, exactly.
+    // window's absolute trace offset. One functional system walks the
+    // chain: a stored snapshot is restored into it (which also proves the
+    // file decodes before any interval job relies on it), and a miss
+    // advances it from wherever it stands (fresh, or the previous
+    // interval's offset) — interval k−1's functional prefix, exactly.
     let t_prefix = Instant::now();
     let mut blobs: Vec<Arc<Vec<u8>>> = Vec::with_capacity(k as usize);
-    let mut cur: Option<FunctionalState> = None;
+    let mut cur: Option<ArchState> = None;
     for i in 0..k {
         let abs = scale.warmup + w0(i) * spec.period;
         let digest = if abs == scale.warmup {
@@ -414,21 +389,22 @@ pub fn run_app_sampled(
         } else {
             interval_digest(&profile, kind, scale, abs)
         };
-        let mut build = || {
-            let (core, gen) = cur.get_or_insert_with(|| fresh_functional(profile, kind));
-            core.warm_run_to(gen, abs);
-            save_arch(core, gen)
+        let advance = |state: &mut ArchState| {
+            state.0.warm_run_to(&mut state.1, abs);
+            save_arch(state)
         };
         let blob = match opts.checkpoints {
             Some(store) => {
-                let (blob, hit) = store.get_or_build(digest, build);
+                let fresh = || cur.take().unwrap_or_else(|| fresh_arch(profile, kind));
+                let (state, blob, hit) = store.get_or_build(digest, fresh, advance, load_arch);
+                cur = Some(state);
                 if let Some(w) = opts.wall {
                     let outcome = if hit { "hit" } else { "miss" };
                     w.wall_mark("simchk", &format!("{outcome}/{}@{abs}", profile.name));
                 }
                 blob
             }
-            None => Arc::new(build()),
+            None => Arc::new(advance(cur.get_or_insert_with(|| fresh_arch(profile, kind)))),
         };
         blobs.push(blob);
     }
@@ -491,20 +467,11 @@ fn run_interval(
     last: u64,
     wall: Option<&Telemetry>,
 ) -> Vec<WindowObs> {
-    let mut lower = kind.build();
-    lower.prefill();
-    let mem = CoreMemSystem::micro2003(lower);
-    let mut core = OooCore::new(CoreParams::micro2003(), mem);
-    let mut gen = TraceGenerator::new(profile, TRACE_SEED);
-    let mut d = Decoder::new(blob);
-    gen.load_state(&mut d).expect("interval snapshot: generator state");
-    core.predictor_mut().load_state(&mut d).expect("interval snapshot: predictor state");
-    core.mem_mut().load_l1_state(&mut d).expect("interval snapshot: L1 state");
-    core.mem_mut()
-        .lower_mut()
-        .load_state(&mut d)
-        .expect("interval snapshot: lower-cache state");
-    d.finish().expect("interval snapshot: trailing bytes");
+    // The chain built or restored this payload in this process, so it
+    // loads (a stored file that does not was rebuilt there).
+    let mut state = fresh_arch(profile, kind);
+    load_arch(&mut state, blob).expect("interval snapshot: checked by the chain");
+    let (core, mut gen) = state;
 
     // Drain barrier: zero the statistics and rebuild the core at cycle 0
     // over the restored architectural state — identical to the barrier an

@@ -9,6 +9,8 @@
 //! what the pin can't cover: every payload length, every cut point an
 //! interrupted write could leave behind, every single-byte corruption,
 //! and arbitrary typed-field sequences through `Encoder` / `Decoder`.
+//! The last property goes one layer up: a checkpoint that opens but no
+//! longer decodes must be rebuilt by the `CheckpointStore`, not trusted.
 
 use simbase::snapshot::{open, seal, Decoder, Encoder, SnapshotError, MAGIC, OVERHEAD};
 use simkit::prop::{
@@ -418,4 +420,91 @@ fn l4_section_version_skew_is_rejected() {
             );
         }
     });
+}
+
+/// Seals a payload that opens but no longer decodes — the file a plugin
+/// whose `save_state` layout changed without a `CHECKPOINT_VERSION` bump
+/// leaves behind — in place of every checkpoint `from` holds, under the
+/// same real digests, in the emptied directory `to`. Returns how many.
+fn plant_undecodable(from: &std::path::Path, to: &std::path::Path) -> u64 {
+    use experiments::checkpoint::CHECKPOINT_VERSION;
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).expect("create store dir");
+    let mut planted = 0;
+    for entry in std::fs::read_dir(from).expect("read store dir") {
+        let path = entry.expect("dir entry").path();
+        let sealed = std::fs::read(&path).expect("read checkpoint");
+        let payload = open(&sealed, CHECKPOINT_VERSION).expect("a stored checkpoint opens");
+        // Cut inside the last section: the decode fails part-way, after
+        // it has already overwritten the earlier sections' state.
+        let cut = &payload[..payload.len() - 8];
+        std::fs::write(to.join(path.file_name().expect("file name")), seal(CHECKPOINT_VERSION, cut))
+            .expect("plant checkpoint");
+        planted += 1;
+    }
+    planted
+}
+
+/// 12. A checkpoint whose seal is intact but whose payload fails to decode
+/// is rebuilt and counted as corrupt — never a panic mid-sweep — and the
+/// run it seeds is bit-identical to a cold run. Covers all three
+/// restoring paths: the single-core warm-up, the CMP warm-up and the
+/// sampled run's interval chain.
+#[test]
+fn undecodable_checkpoint_payloads_are_rebuilt_bit_identically() {
+    use experiments::exps::kind_of;
+    use experiments::{CheckpointStore, RunOptions, SampleSpec, Scale};
+    let scale = Scale {
+        warmup: 30_000,
+        measure: 60_000,
+    };
+    let app = workloads::profiles::by_name("galgel").expect("in roster");
+    let kind = kind_of("nf4");
+    let sink = simtel::TelemetrySink::disabled();
+    let base = std::env::temp_dir().join(format!("simchk-undecodable-{}", std::process::id()));
+    let (cold_dir, bad_dir) = (base.join("cold"), base.join("bad"));
+    let with = |store| RunOptions {
+        checkpoints: Some(store),
+        ..Default::default()
+    };
+
+    // Single core: the planted file sits under the real warm-up digest.
+    let cold = CheckpointStore::open(&cold_dir).expect("open");
+    let want = experiments::runner::run_app_opts(app, &kind, scale, &sink, 0, with(&cold));
+    assert_eq!(plant_undecodable(&cold_dir, &bad_dir), 1);
+    let digest = experiments::warmup_digest(&app, &kind, scale);
+    assert!(bad_dir.join(format!("{}.simchk", digest.hex())).exists());
+    let bad = CheckpointStore::open(&bad_dir).expect("open");
+    let got = experiments::runner::run_app_opts(app, &kind, scale, &sink, 0, with(&bad));
+    assert_eq!(got, want, "a rebuilt checkpoint changed the run");
+    assert_eq!((bad.hits(), bad.misses(), bad.corrupt()), (0, 1, 1));
+    // The rebuild replaced the bad file with the cold run's bytes.
+    let name = format!("{}.simchk", digest.hex());
+    assert_eq!(std::fs::read(bad_dir.join(&name)).ok(), std::fs::read(cold_dir.join(&name)).ok());
+
+    // CMP: four cores sharing nf4.
+    let _ = std::fs::remove_dir_all(&cold_dir);
+    let cold = CheckpointStore::open(&cold_dir).expect("open");
+    let want = experiments::cmp::run_cmp_opts("nf4", 4, &kind, scale, &sink, 0, with(&cold), None);
+    assert_eq!(plant_undecodable(&cold_dir, &bad_dir), 1);
+    let bad = CheckpointStore::open(&bad_dir).expect("open");
+    let got = experiments::cmp::run_cmp_opts("nf4", 4, &kind, scale, &sink, 0, with(&bad), None);
+    assert_eq!(got, want, "a rebuilt CMP checkpoint changed the run");
+    assert_eq!((bad.hits(), bad.misses(), bad.corrupt()), (0, 1, 1));
+
+    // Sampled, four intervals: every snapshot of the chain is bad.
+    let spec = SampleSpec {
+        period: 5_000,
+        warmup: 200,
+        measure: 800,
+    };
+    let _ = std::fs::remove_dir_all(&cold_dir);
+    let cold = CheckpointStore::open(&cold_dir).expect("open");
+    let want = experiments::run_app_sampled(app, &kind, scale, spec, 4, 2, with(&cold));
+    assert_eq!(plant_undecodable(&cold_dir, &bad_dir), 4);
+    let bad = CheckpointStore::open(&bad_dir).expect("open");
+    let got = experiments::run_app_sampled(app, &kind, scale, spec, 4, 2, with(&bad));
+    assert_eq!(got, want, "rebuilt interval snapshots changed the sampled run");
+    assert_eq!((bad.hits(), bad.misses(), bad.corrupt()), (0, 4, 4));
+    let _ = std::fs::remove_dir_all(&base);
 }
