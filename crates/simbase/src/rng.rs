@@ -23,6 +23,52 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `2^53`: the number of distinct values [`SimRng::unit`] can return.
+const UNIT_SCALE: f64 = (1u64 << 53) as f64;
+
+/// A Bernoulli probability precomputed as an integer threshold on the
+/// 53-bit draw behind [`SimRng::unit`], so a hot loop pays one shift and
+/// one integer compare per draw instead of a clamp, a convert and a float
+/// compare.
+///
+/// The threshold is `t = ceil(clamp(p, 0, 1)·2^53)`, and a draw hits
+/// when its `k < t`. That is *exactly* `unit() < p`: `unit()` is
+/// `k·2^-53` for an integer `k < 2^53`; scaling by a power of two is
+/// exact in f64, so `k·2^-53 < c ⟺ k < c·2^53`, and for an integer `k`,
+/// `k < x ⟺ k < ceil(x)`. A NaN `p` gives `t = 0`, which never hits,
+/// just as `unit() < NaN` never holds. Swapping [`SimRng::chance`] for
+/// [`SimRng::bernoulli`] therefore changes no draw in any stream.
+///
+/// # Examples
+///
+/// ```
+/// use simbase::rng::{Bernoulli, SimRng};
+/// const TAKEN: Bernoulli = Bernoulli::new(0.3);
+/// let (mut a, mut b) = (SimRng::seeded(9), SimRng::seeded(9));
+/// for _ in 0..1000 {
+///     assert_eq!(a.bernoulli(TAKEN), b.chance(0.3));
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bernoulli(u64);
+
+impl Bernoulli {
+    /// The threshold for probability `p` (clamped to `[0, 1]`).
+    pub const fn new(p: f64) -> Self {
+        let x = p.clamp(0.0, 1.0) * UNIT_SCALE;
+        // `as` truncates (NaN to 0) and `x <= 2^53`, so `t` is exact and
+        // the comparison rounds a fractional `x` up.
+        let t = x as u64;
+        Bernoulli(if (t as f64) < x { t + 1 } else { t })
+    }
+
+    /// The integer threshold `t`: a [`SimRng::unit_bits`] draw `k` hits
+    /// when `k < t`.
+    pub const fn threshold(self) -> u64 {
+        self.0
+    }
+}
+
 /// A small, fast, seedable RNG used throughout the simulators.
 ///
 /// Implements xoshiro256++ directly so the concrete stream is owned by this
@@ -102,14 +148,28 @@ impl SimRng {
         self.below(bound as u64) as usize
     }
 
+    /// Uniform integer draw in `[0, 2^53)`: the `k` behind
+    /// [`Self::unit`]'s `k·2^-53`. Compare it against a
+    /// [`Bernoulli::threshold`] to test `unit() < p` without floating
+    /// point.
+    pub fn unit_bits(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
     /// Uniform draw in `[0.0, 1.0)` with 53 bits of precision.
     pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.unit_bits() as f64 * (1.0 / UNIT_SCALE)
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p.clamp(0.0, 1.0)
+        self.bernoulli(Bernoulli::new(p))
+    }
+
+    /// Bernoulli draw against a precomputed threshold: consumes one
+    /// draw, exactly like [`Self::chance`] with the same probability.
+    pub fn bernoulli(&mut self, b: Bernoulli) -> bool {
+        self.unit_bits() < b.0
     }
 
     /// Raw 64-bit draw: one xoshiro256++ step.
@@ -132,9 +192,14 @@ impl SimRng {
     /// Geometric-ish draw: number of failures before a success with
     /// probability `p`, capped at `cap`.
     pub fn geometric(&mut self, p: f64, cap: u64) -> u64 {
-        let p = p.clamp(1e-9, 1.0);
+        self.geometric_with(Bernoulli::new(p.clamp(1e-9, 1.0)), cap)
+    }
+
+    /// [`Self::geometric`] against a precomputed success threshold (the
+    /// caller applies any floor on `p`).
+    pub fn geometric_with(&mut self, success: Bernoulli, cap: u64) -> u64 {
         let mut n = 0;
-        while n < cap && !self.chance(p) {
+        while n < cap && !self.bernoulli(success) {
             n += 1;
         }
         n
@@ -340,6 +405,60 @@ mod tests {
         let hits = (0..20_000).filter(|_| r.chance(0.3)).count();
         let frac = hits as f64 / 20_000.0;
         assert!((frac - 0.3).abs() < 0.02, "frac={frac}");
+    }
+
+    /// The float comparison `chance` made before thresholds existed.
+    fn float_hit(k: u64, p: f64) -> bool {
+        k as f64 * (1.0 / UNIT_SCALE) < p.clamp(0.0, 1.0)
+    }
+
+    fn assert_threshold_exact(p: f64, k: u64) {
+        let t = Bernoulli::new(p).threshold();
+        assert_eq!(
+            float_hit(k, p),
+            k < t,
+            "p={p:e} ({:#x}) k={k} threshold={t}",
+            p.to_bits()
+        );
+    }
+
+    #[test]
+    fn bernoulli_threshold_is_exactly_the_float_comparison() {
+        const TOP: u64 = (1 << 53) - 1;
+        let mut ps: Vec<f64> = (0..=1000).map(|i| i as f64 / 1000.0).collect();
+        ps.extend([0.0, -0.0, 1.0, 0.5, -1.0, 2.0, f64::NAN, f64::INFINITY]);
+        // The generator's fixed probabilities, and the subnormals.
+        ps.extend([0.15, 0.45, 0.55, 0.4, 0.05, 0.65, 0.88, 1e-9]);
+        ps.extend([f64::MIN_POSITIVE, f64::MIN_POSITIVE / 2.0, 5e-324]);
+        // Exact multiples of 2^-53, where `<` against the draw flips.
+        let low: [u64; 5] = [1, 2, 3, 1 << 20, (1 << 52) - 1];
+        let high: [u64; 4] = [1 << 52, (1 << 52) + 1, TOP - 1, TOP];
+        ps.extend(low.iter().chain(&high).map(|&k| k as f64 / UNIT_SCALE));
+        let neighbours: Vec<f64> = ps
+            .iter()
+            .filter(|p| p.is_finite())
+            .flat_map(|&p| [p.next_up(), p.next_down()])
+            .collect();
+        ps.extend(neighbours);
+        for &p in &ps {
+            let t = Bernoulli::new(p).threshold();
+            assert!(t <= 1 << 53, "p={p:e}: threshold {t} above 2^53");
+            for k in [t.wrapping_sub(1), t, t + 1, 0, TOP] {
+                if k <= TOP {
+                    assert_threshold_exact(p, k);
+                }
+            }
+        }
+        assert_eq!(Bernoulli::new(f64::NAN).threshold(), 0);
+        assert_eq!(Bernoulli::new(0.5).threshold(), 1 << 52);
+        assert_eq!(Bernoulli::new(1.0).threshold(), 1 << 53);
+        // Random probabilities against random draws.
+        let mut r = SimRng::seeded(53);
+        for _ in 0..100_000 {
+            let p = ps[r.index(ps.len())];
+            assert_threshold_exact(p, r.unit_bits());
+            assert_threshold_exact(r.unit(), r.unit_bits());
+        }
     }
 
     #[test]

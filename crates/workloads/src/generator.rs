@@ -17,7 +17,7 @@
 
 use crate::profiles::BenchProfile;
 use cpu::uop::{MicroOp, OpClass, TraceSource};
-use simbase::rng::SimRng;
+use simbase::rng::{Bernoulli, SimRng};
 use simbase::snapshot::{Decoder, Encoder, SnapshotError};
 use simbase::Addr;
 
@@ -28,6 +28,78 @@ const STREAM_BASE: u64 = 0x8000_0000;
 
 /// Recently-touched lines remembered for L1-reuse draws.
 const RECENT_LINES: usize = 8;
+
+/// Probability of staying in a burst of new-line accesses.
+const STAY_IN_BURST: f64 = 0.65;
+
+/// Fixed draw probabilities of the mixture process.
+const STAY: Bernoulli = Bernoulli::new(STAY_IN_BURST);
+const NO_DEP: Bernoulli = Bernoulli::new(0.15);
+const DEP_STEP: Bernoulli = Bernoulli::new(0.45);
+const CHASE_STEP: Bernoulli = Bernoulli::new(0.5);
+const FP_OP: Bernoulli = Bernoulli::new(0.55);
+const FP_MUL: Bernoulli = Bernoulli::new(0.4);
+const INT_MUL: Bernoulli = Bernoulli::new(0.05);
+/// Hot-region tier boundaries, as thresholds on a `unit_bits` draw.
+const TIER_INNER: u64 = Bernoulli::new(0.50).threshold();
+const TIER_MIDDLE: u64 = Bernoulli::new(0.88).threshold();
+
+/// Everything the hot path derives from the profile, computed once.
+#[derive(Debug, Clone, Copy)]
+struct Derived {
+    /// Instructions in the code loop.
+    loop_len: u64,
+    branch_every: u64,
+    taken: Bernoulli,
+    /// `unit_bits` thresholds for `roll < load_frac` and
+    /// `roll < load_frac + store_frac`.
+    load_below: u64,
+    mem_below: u64,
+    dep_load: Bernoulli,
+    /// Leaving an L1-reuse run for a burst of new lines.
+    enter_burst: Bernoulli,
+    hot: Bernoulli,
+    /// Line-index bounds of the inner, middle and outer hot tiers.
+    tier_lines: [u64; 3],
+    /// 128-B blocks in the hot region (the initialization sweep's length).
+    hot_blocks: u64,
+    /// Hot blocks laid out with folded set bits, and the set residues
+    /// they fold into.
+    fold_range: u32,
+    fold_sets: u32,
+    stream_bytes: u64,
+    stream_blocks: u64,
+    burst_span: u64,
+    fp: bool,
+}
+
+impl Derived {
+    fn new(p: &BenchProfile) -> Self {
+        let mean_burst = 1.0 / (1.0 - STAY_IN_BURST);
+        let enter = (1.0 - p.l1_reuse) / (mean_burst * p.l1_reuse.max(0.01));
+        let lines = p.hot_footprint.bytes() / 32;
+        let hot_blocks = p.hot_footprint.bytes() / 128;
+        let fold = |n: u64| u32::try_from(n).expect("hot footprint below 4 TiB");
+        Derived {
+            loop_len: (p.code_footprint.bytes() / 4).max(64),
+            branch_every: u64::from(p.branch_every),
+            taken: Bernoulli::new(p.branch_bias),
+            load_below: Bernoulli::new(p.load_frac).threshold(),
+            mem_below: Bernoulli::new(p.load_frac + p.store_frac).threshold(),
+            dep_load: Bernoulli::new(p.dep_load_frac),
+            enter_burst: Bernoulli::new(enter),
+            hot: Bernoulli::new(p.hot_frac),
+            tier_lines: [(lines / 16).max(1), (lines / 4).max(1), lines / 2],
+            hot_blocks,
+            fold_range: fold(hot_blocks / 8),
+            fold_sets: fold((hot_blocks / 40).max(16)),
+            stream_bytes: p.stream_footprint.bytes(),
+            stream_blocks: p.stream_footprint.bytes() / 128,
+            burst_span: 2 * u64::from(p.spatial_run),
+            fp: p.fp,
+        }
+    }
+}
 
 /// A deterministic micro-op generator for one benchmark.
 ///
@@ -47,11 +119,14 @@ const RECENT_LINES: usize = 8;
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     profile: BenchProfile,
+    k: Derived,
     rng: SimRng,
     /// Instruction counter (drives the PC loop and branch placement).
     i: u64,
-    /// Instructions in the code loop.
-    loop_len: u64,
+    /// `i % loop_len` and `i % branch_every`, kept incrementally; not
+    /// snapshot payload ([`Self::load_state`] re-derives them from `i`).
+    pc_slot: u64,
+    br_slot: u64,
     /// Ring of recently-touched line addresses.
     recent: [u64; RECENT_LINES],
     recent_n: usize,
@@ -79,18 +154,20 @@ pub struct TraceGenerator {
 impl TraceGenerator {
     /// Creates a generator for `profile` with the given seed.
     pub fn new(profile: BenchProfile, seed: u64) -> Self {
-        let loop_len = (profile.code_footprint.bytes() / 4).max(64);
+        let k = Derived::new(&profile);
         TraceGenerator {
             profile,
+            k,
             rng: SimRng::seeded(seed ^ fxhash(profile.name)),
             i: 0,
-            loop_len,
+            pc_slot: 0,
+            br_slot: 0,
             recent: [HOT_BASE; RECENT_LINES],
             recent_n: 0,
             stream_pos: 0,
             burst_left: 0,
             chain_next: false,
-            init_left: profile.hot_footprint.bytes() / 128,
+            init_left: k.hot_blocks,
             since_hot_load: u8::MAX,
             in_new_burst: false,
         }
@@ -125,28 +202,47 @@ impl TraceGenerator {
     /// # Errors
     ///
     /// Returns [`SnapshotError::Malformed`] on a truncated or mismatched
-    /// payload.
+    /// payload, or on state this profile's generator can never reach: an
+    /// initialization sweep longer than the hot region, or a streaming
+    /// position outside the streaming region or off a 128-B block.
     pub fn load_state(&mut self, d: &mut Decoder) -> Result<(), SnapshotError> {
         let rng_state = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
-        self.rng = SimRng::from_state(rng_state);
-        self.i = d.u64()?;
+        let i = d.u64()?;
         let recent = d.u64_slice()?;
         if recent.len() != RECENT_LINES {
             return Err(SnapshotError::Malformed("recent-line ring size mismatch"));
         }
+        let recent_n = d.u64()? as usize;
+        let stream_pos = d.u64()?;
+        let burst_left = d.u32()?;
+        let chain_next = d.bool()?;
+        let init_left = d.u64()?;
+        let since_hot_load = d.u8()?;
+        let in_new_burst = d.bool()?;
+        if init_left > self.k.hot_blocks {
+            return Err(SnapshotError::Malformed(
+                "initialization sweep longer than the hot region",
+            ));
+        }
+        // A fresh generator's position is 0 even with an empty region.
+        if stream_pos % 128 != 0 || (stream_pos >= self.k.stream_bytes && stream_pos != 0) {
+            return Err(SnapshotError::Malformed(
+                "streaming position outside the streaming region",
+            ));
+        }
+        self.rng = SimRng::from_state(rng_state);
+        self.i = i;
+        self.pc_slot = i % self.k.loop_len;
+        self.br_slot = i.checked_rem(self.k.branch_every).unwrap_or(0);
         self.recent.copy_from_slice(&recent);
-        self.recent_n = d.u64()? as usize;
-        self.stream_pos = d.u64()?;
-        self.burst_left = d.u32()?;
-        self.chain_next = d.bool()?;
-        self.init_left = d.u64()?;
-        self.since_hot_load = d.u8()?;
-        self.in_new_burst = d.bool()?;
+        self.recent_n = recent_n;
+        self.stream_pos = stream_pos;
+        self.burst_left = burst_left;
+        self.chain_next = chain_next;
+        self.init_left = init_left;
+        self.since_hot_load = since_hot_load;
+        self.in_new_burst = in_new_burst;
         Ok(())
-    }
-
-    fn pc(&self) -> Addr {
-        Addr::new(CODE_BASE + (self.i % self.loop_len) * 4)
     }
 
     fn remember(&mut self, line: u64) {
@@ -158,62 +254,61 @@ impl TraceGenerator {
     /// and whether it is a *fresh hot-region* reference (a likely
     /// lower-level-cache access on the program's critical path).
     fn data_line(&mut self) -> (u64, bool) {
-        let p = self.profile;
+        let k = self.k;
         // Initialization sweep: one touch per 128-B block of the hot
         // region, sequential, at full memory-op rate.
         if self.init_left > 0 {
-            let blocks = p.hot_footprint.bytes() / 128;
-            let idx = blocks - self.init_left;
+            let idx = k.hot_blocks - self.init_left;
             self.init_left -= 1;
-            let line = Self::hot_addr(p, idx * 4);
+            let line = self.hot_addr(idx * 4);
             self.remember(line);
             return (line, false);
         }
         // Two-state burst process with long-run new-line fraction
         // (1 - l1_reuse): reuse runs (L1 hits) alternate with short bursts
         // of new lines (mean burst ~2.9 lines).
-        const STAY_IN_BURST: f64 = 0.65;
         if self.in_new_burst {
-            if !self.rng.chance(STAY_IN_BURST) {
+            if !self.rng.bernoulli(STAY) {
                 self.in_new_burst = false;
             }
         } else {
-            let mean_burst = 1.0 / (1.0 - STAY_IN_BURST);
-            let enter = (1.0 - p.l1_reuse) / (mean_burst * p.l1_reuse.max(0.01));
-            if self.recent_n > 0 && !self.rng.chance(enter) {
+            if self.recent_n > 0 && !self.rng.bernoulli(k.enter_burst) {
                 // Stay in the reuse run: L1 hit.
-                let k = self.recent_n.min(RECENT_LINES);
-                return (self.recent[self.rng.index(k)], false);
+                let n = self.recent_n.min(RECENT_LINES);
+                return (self.recent[self.rng.index(n)], false);
             }
             self.in_new_burst = true;
         }
-        let (line, fresh_hot) = if self.rng.chance(p.hot_frac) {
+        let (line, fresh_hot) = if self.rng.bernoulli(k.hot) {
             // Hot region: three-tier skew (Zipf-like), so reuse intervals
             // span from tens of thousands of instructions (the inner core,
             // which any organization keeps close) to millions (the outer
             // region, where placement policy decides who wins).
-            let lines = p.hot_footprint.bytes() / 32;
-            let tier = self.rng.unit();
-            let idx = if tier < 0.50 {
-                self.rng.below((lines / 16).max(1))
-            } else if tier < 0.88 {
-                self.rng.below((lines / 4).max(1))
+            let tier = self.rng.unit_bits();
+            let bound = if tier < TIER_INNER {
+                k.tier_lines[0]
+            } else if tier < TIER_MIDDLE {
+                k.tier_lines[1]
             } else {
-                self.rng.below(lines / 2)
+                k.tier_lines[2]
             };
-            (Self::hot_addr(p, idx), true)
+            let idx = self.rng.below(bound);
+            (self.hot_addr(idx), true)
         } else {
             // Streaming: a burst of 128-B-strided touches (one per L2
             // block, the worst case for the lower-level cache), jumping to
             // a random position when the burst ends.
             if self.burst_left == 0 {
-                self.burst_left = 1 + self.rng.below(2 * p.spatial_run as u64) as u32;
-                let blocks = p.stream_footprint.bytes() / 128;
-                self.stream_pos = self.rng.below(blocks) * 128;
+                self.burst_left = 1 + self.rng.below(k.burst_span) as u32;
+                self.stream_pos = self.rng.below(k.stream_blocks) * 128;
             }
             self.burst_left -= 1;
             let line = STREAM_BASE + self.stream_pos;
-            self.stream_pos = (self.stream_pos + 128) % p.stream_footprint.bytes();
+            // `stream_pos < stream_bytes`, so one subtract wraps it.
+            self.stream_pos += 128;
+            if self.stream_pos >= k.stream_bytes {
+                self.stream_pos -= k.stream_bytes;
+            }
             (line, false)
         };
         self.remember(line);
@@ -229,16 +324,14 @@ impl TraceGenerator {
     /// accesses to many ways over a short period") — the pressure that
     /// coupled placement cannot serve from the fastest d-group but
     /// distance-associative placement can.
-    fn hot_addr(p: BenchProfile, idx: u64) -> u64 {
+    fn hot_addr(&self, idx: u64) -> u64 {
         const L2_SETS: u64 = 8192;
         let block = idx / 4;
         let within = idx % 4;
-        let region_blocks = p.hot_footprint.bytes() / 128;
-        let fold_range = region_blocks / 8;
-        if block < fold_range {
-            // Fold into `sets` set-residues, keeping blocks distinct.
-            let sets = (region_blocks / 40).max(16);
-            let aliased = (block % sets) + (block / sets) * L2_SETS;
+        if block < u64::from(self.k.fold_range) {
+            // Fold into `fold_sets` set-residues, keeping blocks distinct.
+            let (block, sets) = (block as u32, self.k.fold_sets);
+            let aliased = u64::from(block % sets) + u64::from(block / sets) * L2_SETS;
             HOT_BASE + (aliased * 4 + within) * 32
         } else {
             HOT_BASE + idx * 32
@@ -248,10 +341,10 @@ impl TraceGenerator {
     /// Dependency distance for a register source: short geometric within
     /// the window, or none.
     fn dep(&mut self) -> u8 {
-        if self.rng.chance(0.15) {
+        if self.rng.bernoulli(NO_DEP) {
             0
         } else {
-            1 + self.rng.geometric(0.45, 20) as u8
+            1 + self.rng.geometric_with(DEP_STEP, 20) as u8
         }
     }
 }
@@ -276,28 +369,34 @@ impl cpu::uop::TraceCursor for TraceGenerator {
 
 impl TraceSource for TraceGenerator {
     fn next_op(&mut self) -> MicroOp {
+        let k = self.k;
         self.i += 1;
-        let pc = self.pc();
-        let p = self.profile;
+        self.pc_slot += 1;
+        if self.pc_slot == k.loop_len {
+            self.pc_slot = 0;
+        }
+        let pc = Addr::new(CODE_BASE + self.pc_slot * 4);
         self.since_hot_load = self.since_hot_load.saturating_add(1);
 
         let chained = std::mem::take(&mut self.chain_next);
 
         // Branch sites are periodic in the loop body.
-        if self.i.is_multiple_of(p.branch_every as u64) {
-            let mut op = MicroOp::branch(pc, self.rng.chance(p.branch_bias));
+        self.br_slot += 1;
+        if self.br_slot == k.branch_every {
+            self.br_slot = 0;
+            let mut op = MicroOp::branch(pc, self.rng.bernoulli(k.taken));
             op.dep1 = if chained { 1 } else { self.dep() };
             return op;
         }
 
-        let roll = self.rng.unit();
-        if roll < p.load_frac {
+        let roll = self.rng.unit_bits();
+        if roll < k.load_below {
             let (line, fresh_hot) = self.data_line();
             let addr = Addr::new(line + self.rng.below(4) * 8);
             let mut op = MicroOp::load(pc, addr, 0);
             // Pointer chasing: this load's address came from a recent load.
-            op.dep1 = if self.rng.chance(p.dep_load_frac) {
-                1 + self.rng.geometric(0.5, 3) as u8
+            op.dep1 = if self.rng.bernoulli(k.dep_load) {
+                1 + self.rng.geometric_with(CHASE_STEP, 3) as u8
             } else {
                 self.dep()
             };
@@ -311,11 +410,11 @@ impl TraceSource for TraceGenerator {
                 }
                 self.since_hot_load = 0;
                 self.chain_next = true;
-            } else if self.rng.chance(p.dep_load_frac) {
+            } else if self.rng.bernoulli(k.dep_load) {
                 self.chain_next = true;
             }
             op
-        } else if roll < p.load_frac + p.store_frac {
+        } else if roll < k.mem_below {
             let (line, _) = self.data_line();
             let addr = Addr::new(line + self.rng.below(4) * 8);
             let mut op = MicroOp::store(pc, addr, 0);
@@ -323,13 +422,13 @@ impl TraceSource for TraceGenerator {
             op
         } else {
             let mut op = MicroOp::alu(pc);
-            op.class = if p.fp && self.rng.chance(0.55) {
-                if self.rng.chance(0.4) {
+            op.class = if k.fp && self.rng.bernoulli(FP_OP) {
+                if self.rng.bernoulli(FP_MUL) {
                     OpClass::FpMul
                 } else {
                     OpClass::FpAlu
                 }
-            } else if self.rng.chance(0.05) {
+            } else if self.rng.bernoulli(INT_MUL) {
                 OpClass::IntMul
             } else {
                 OpClass::IntAlu
@@ -392,25 +491,104 @@ mod tests {
         assert!((bf - 1.0 / p.branch_every as f64).abs() < 0.02, "branch frac {bf}");
     }
 
+    /// Drives `g` for `ops` ops, failing on any address outside the hot
+    /// and streaming regions.
+    fn assert_addresses_in_regions(g: &mut TraceGenerator, ops: usize) {
+        let p = *g.profile();
+        for _ in 0..ops {
+            let op = g.next_op();
+            if let Some(a) = op.mem_addr {
+                let a = a.raw();
+                // The folded hot-set mapping spreads the hottest
+                // eighth over up to 40 set-strides of 8192 blocks.
+                let hot_span = p.hot_footprint.bytes() + 41 * 8192 * 128;
+                let in_hot = (HOT_BASE..HOT_BASE + hot_span).contains(&a);
+                let in_stream = (STREAM_BASE
+                    ..STREAM_BASE + p.stream_footprint.bytes() + 32)
+                    .contains(&a);
+                assert!(in_hot || in_stream, "{}: stray address {a:#x}", p.name);
+            }
+        }
+    }
+
     #[test]
     fn memory_addresses_stay_in_their_regions() {
         for p in ROSTER {
-            let mut g = TraceGenerator::new(p, 9);
-            for _ in 0..20_000 {
-                let op = g.next_op();
-                if let Some(a) = op.mem_addr {
-                    let a = a.raw();
-                    // The folded hot-set mapping spreads the hottest
-                    // eighth over up to 40 set-strides of 8192 blocks.
-                    let hot_span = p.hot_footprint.bytes() + 41 * 8192 * 128;
-                    let in_hot = (HOT_BASE..HOT_BASE + hot_span).contains(&a);
-                    let in_stream = (STREAM_BASE
-                        ..STREAM_BASE + p.stream_footprint.bytes() + 32)
-                        .contains(&a);
-                    assert!(in_hot || in_stream, "{}: stray address {a:#x}", p.name);
-                }
-            }
+            assert_addresses_in_regions(&mut TraceGenerator::new(p, 9), 20_000);
         }
+    }
+
+    /// A hand-built `save_state` payload with the given initialization
+    /// sweep and streaming position (everything else plausible).
+    fn payload(init_left: u64, stream_pos: u64) -> Vec<u8> {
+        let mut e = Encoder::new();
+        for w in SimRng::seeded(3).state() {
+            e.put_u64(w);
+        }
+        e.put_u64(1_000); // i
+        e.put_u64_slice(&[HOT_BASE; RECENT_LINES]);
+        e.put_u64(RECENT_LINES as u64); // recent_n
+        e.put_u64(stream_pos);
+        e.put_u32(4); // burst_left
+        e.put_bool(false); // chain_next
+        e.put_u64(init_left);
+        e.put_u8(9); // since_hot_load
+        e.put_bool(true); // in_new_burst
+        e.into_bytes()
+    }
+
+    #[test]
+    fn load_state_rejects_unreachable_sweep_and_stream_positions() {
+        let p = by_name("mcf").unwrap();
+        let blocks = p.hot_footprint.bytes() / 128;
+        let stream = p.stream_footprint.bytes();
+        let load = |bytes: &[u8]| {
+            let mut g = TraceGenerator::new(p, 1);
+            g.load_state(&mut Decoder::new(bytes)).map(|()| g)
+        };
+        // The extremes a real stream reaches load and stay in region.
+        for (init_left, stream_pos) in [(0, 0), (blocks, 0), (1, stream - 128)] {
+            let mut g = load(&payload(init_left, stream_pos))
+                .unwrap_or_else(|e| panic!("({init_left}, {stream_pos:#x}): {e:?}"));
+            assert_addresses_in_regions(&mut g, 50_000);
+        }
+        // A sweep longer than the hot region used to underflow the sweep
+        // index; a streaming position past the region or off a block
+        // boundary used to emit stray addresses.
+        let bad = [
+            (blocks + 1, 0),
+            (u64::MAX, 0),
+            (0, stream),
+            (0, stream + 128),
+            (0, u64::MAX - 127),
+            (0, 64),
+            (0, stream - 1),
+        ];
+        for (init_left, stream_pos) in bad {
+            let mut g = TraceGenerator::new(p, 1);
+            let before = g.clone().next_op();
+            let err = g.load_state(&mut Decoder::new(&payload(init_left, stream_pos)));
+            assert!(
+                matches!(err, Err(SnapshotError::Malformed(_))),
+                "({init_left}, {stream_pos:#x}) must be malformed, got {err:?}"
+            );
+            // A rejected payload leaves the generator untouched.
+            assert_eq!(g.next_op(), before);
+        }
+    }
+
+    #[test]
+    fn an_empty_streaming_region_still_roundtrips() {
+        let mut p = by_name("gcc").unwrap();
+        p.hot_frac = 1.0;
+        p.stream_footprint = simbase::Capacity::from_bytes(0);
+        let g = TraceGenerator::new(p, 2);
+        let mut e = Encoder::new();
+        g.save_state(&mut e);
+        let mut restored = TraceGenerator::new(p, 2);
+        restored
+            .load_state(&mut Decoder::new(&e.into_bytes()))
+            .expect("a fresh generator's own state loads");
     }
 
     #[test]

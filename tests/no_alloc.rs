@@ -12,17 +12,26 @@
 //! capacity), then require the allocation count to stay *exactly* flat
 //! over a long measured window.
 //!
+//! The same holds one layer up, for the per-instruction path that
+//! dominates every run's wall time: the trace generator's `next_op`
+//! feeding the out-of-order core's timed `execute`, and the functional
+//! `warm_execute` that fast-forward and checkpointed warm-up use.
+//!
 //! The whole file is a single `#[test]` because the counter is
 //! process-global: parallel test threads would attribute their setup
 //! allocations to whichever window happens to be open.
 
+use cpu::uop::TraceSource;
+use cpu::{CoreParams, OooCore};
 use experiments::L2Kind;
+use memsys::l1::CoreMemSystem;
 use memsys::org::Organization;
 use nuca::{CnucaConfig, SearchPolicy};
 use nurapid::NuRapidConfig;
 use simbase::{AccessKind, BlockAddr, Cycle};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use workloads::TraceGenerator;
 
 struct CountingAlloc;
 
@@ -69,18 +78,23 @@ fn drive(cache: &mut Box<dyn Organization>, accesses: u64, footprint: u64) -> Cy
     t
 }
 
+/// Heap allocations performed by `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
 fn measure(name: &str, cache: &mut Box<dyn Organization>, footprint: u64) {
     // Warm-up: fill the cache, drain every free list, and let internal
     // buffers (port schedule, memory queue) reach steady capacity.
     drive(cache, 150_000, footprint);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    drive(cache, 40_000, footprint);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let n = allocations_in(|| {
+        drive(cache, 40_000, footprint);
+    });
     assert_eq!(
-        after - before,
-        0,
-        "{name}: {} heap allocations in 40k steady-state accesses",
-        after - before
+        n, 0,
+        "{name}: {n} heap allocations in 40k steady-state accesses"
     );
 }
 
@@ -93,7 +107,10 @@ fn steady_state_access_paths_do_not_allocate() {
         ("base", L2Kind::Base),
         ("nurapid", L2Kind::NuRapid(NuRapidConfig::micro2003(4))),
         ("coupled", L2Kind::Coupled(4)),
-        ("dnuca-ss-performance", L2Kind::Dnuca(SearchPolicy::SsPerformance)),
+        (
+            "dnuca-ss-performance",
+            L2Kind::Dnuca(SearchPolicy::SsPerformance),
+        ),
         ("dnuca-ss-energy", L2Kind::Dnuca(SearchPolicy::SsEnergy)),
         ("dnuca-way-memo", L2Kind::Dnuca(SearchPolicy::WayMemo)),
         ("cnuca", L2Kind::Cnuca(CnucaConfig::micro2003())),
@@ -127,4 +144,32 @@ fn steady_state_access_paths_do_not_allocate() {
     resize(&mut org, 4);
     resize(&mut org, 12);
     measure("nurapid+l4 after shrink+grow", &mut org, 262_144);
+
+    // The instruction path: generator into the core, timed and warm.
+    // Warm-up runs each profile past its hot-region initialization sweep
+    // and fills the core's windows and the L2's free lists.
+    for name in ["mcf", "swim"] {
+        let profile = workloads::profiles::by_name(name).expect("in the roster");
+        let mut lower = L2Kind::NuRapid(NuRapidConfig::micro2003(4)).build();
+        lower.prefill();
+        let mut core = OooCore::new(CoreParams::micro2003(), CoreMemSystem::micro2003(lower));
+        let mut gen = TraceGenerator::new(profile, 0x5eed);
+        core.warm_run(&mut gen, 300_000);
+        let warm = allocations_in(|| core.warm_run(&mut gen, 200_000));
+        assert_eq!(
+            warm, 0,
+            "{name}: {warm} heap allocations in 200k warm_execute ops"
+        );
+        core.run(&mut gen, 50_000);
+        let timed = allocations_in(|| {
+            for _ in 0..50_000 {
+                let op = gen.next_op();
+                core.execute(op);
+            }
+        });
+        assert_eq!(
+            timed, 0,
+            "{name}: {timed} heap allocations in 50k next_op + execute ops"
+        );
+    }
 }
