@@ -60,7 +60,7 @@
 
 use experiments::exps::Sweep;
 use experiments::repro::{prewarm_keys, render_selection_cores, resolve_ids};
-use experiments::{Scale, WarmupMode};
+use experiments::Scale;
 use simsched::progress::{console_observer, Counts};
 use simtel::{Console, Telemetry};
 use std::sync::atomic::Ordering;
@@ -178,16 +178,8 @@ fn main() {
         console = console.with_mirror(Arc::clone(tel));
     }
     let counts = Counts::new();
-    // $SIMCHK_WARMUP=timed re-enables the full-timing warm-up (the
-    // differential oracle for the default functional fast-forward; the
-    // report is bit-identical either way, only slower).
-    let warmup = match std::env::var("SIMCHK_WARMUP").as_deref() {
-        Ok("timed") => WarmupMode::Timed,
-        _ => WarmupMode::FastForward,
-    };
     let mut sweep = Sweep::new(scale)
         .with_threads(threads)
-        .with_warmup(warmup)
         .with_l4(l4.then(experiments::L4Config::tdram))
         .with_sample(sample.then(|| experiments::SampleSpec::for_scale(scale)))
         .with_intervals(intervals)

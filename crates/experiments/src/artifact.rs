@@ -1,5 +1,5 @@
-//! JSON codec for [`AppRun`] and [`CmpRun`] — the payloads of simsched
-//! run artifacts.
+//! JSON codecs ([`Artifact`]) for every job family's result — the
+//! payloads of simsched run artifacts.
 //!
 //! Every `f64` is stored as its IEEE-754 **bit pattern** (a `u64` field
 //! named `*_bits`), because a resumed sweep must reproduce results
@@ -9,11 +9,11 @@
 //! fields (`ipc`) are written for manifest readers and ignored by the
 //! decoder.
 //!
-//! The two payload shapes are mutually exclusive by construction: an
-//! [`AppRun`] payload carries an `"app"` field and a [`CmpRun`] payload
-//! a `"cmp_cores"` field, and each decoder requires its own
-//! discriminator, so a digest collision across families (impossible by
-//! domain separation anyway) could never decode the wrong type.
+//! The payload shapes are mutually exclusive by construction: each
+//! carries its own discriminator field (`"app"`, `"cmp_cores"`,
+//! `"dram_app"`, `"sampled_app"`) and each decoder requires its own, so
+//! a digest collision across families (impossible by domain separation
+//! anyway) could never decode the wrong type.
 
 use crate::cmp::CmpRun;
 use crate::exps::DramRun;
@@ -34,92 +34,24 @@ fn bits_f64(j: &Json) -> Option<f64> {
     j.as_u64().map(f64::from_bits)
 }
 
-/// Encodes a run as a JSON object (the artifact payload).
-pub fn encode(run: &AppRun) -> Json {
-    Json::obj(vec![
-        ("app", Json::Str(run.name.to_string())),
-        ("ipc", Json::F64((run.ipc() * 1e4).round() / 1e4)),
-        (
-            "core",
-            Json::obj(vec![
-                ("instructions", Json::U64(run.core.instructions)),
-                ("cycles", Json::U64(run.core.cycles)),
-                ("loads", Json::U64(run.core.loads)),
-                ("stores", Json::U64(run.core.stores)),
-                ("branches", Json::U64(run.core.branches)),
-                ("mispredicts", Json::U64(run.core.mispredicts)),
-                ("int_ops", Json::U64(run.core.int_ops)),
-                ("fp_ops", Json::U64(run.core.fp_ops)),
-            ]),
-        ),
-        ("l2_accesses", Json::U64(run.l2_accesses)),
-        ("l2_misses", Json::U64(run.l2_misses)),
-        (
-            "group_frac_bits",
-            Json::Arr(run.group_fracs.iter().map(|&f| f64_bits(f)).collect()),
-        ),
-        ("miss_frac_bits", f64_bits(run.miss_frac)),
-        ("dgroup_accesses", Json::U64(run.dgroup_accesses)),
-        ("swaps", Json::U64(run.swaps)),
-        ("l2_energy_bits", f64_bits(run.l2_energy.nj())),
-        (
-            "energy_bits",
-            Json::obj(vec![
-                ("core", f64_bits(run.energy.core.nj())),
-                ("l1", f64_bits(run.energy.l1.nj())),
-                ("l2", f64_bits(run.energy.l2.nj())),
-                ("memory", f64_bits(run.energy.memory.nj())),
-            ]),
-        ),
-    ])
+fn f64s_bits(v: &[f64]) -> Json {
+    Json::Arr(v.iter().map(|&f| f64_bits(f)).collect())
 }
 
-/// Decodes a run from an artifact payload. Returns `None` if any field
-/// is missing or ill-typed (the caller then re-simulates), or if the
-/// application name is not in the roster.
-pub fn decode(j: &Json) -> Option<AppRun> {
-    let name = workloads::profiles::by_name(j.field("app")?.as_str()?)?.name;
-    let core = j.field("core")?;
-    let u = |obj: &Json, k: &str| obj.field(k)?.as_u64();
-    let energy = j.field("energy_bits")?;
-    let e = |k: &str| -> Option<EnergyNj> {
-        let nj = bits_f64(energy.field(k)?)?;
-        (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))
-    };
-    Some(AppRun {
-        name,
-        core: CoreResult {
-            instructions: u(core, "instructions")?,
-            cycles: u(core, "cycles")?,
-            loads: u(core, "loads")?,
-            stores: u(core, "stores")?,
-            branches: u(core, "branches")?,
-            mispredicts: u(core, "mispredicts")?,
-            int_ops: u(core, "int_ops")?,
-            fp_ops: u(core, "fp_ops")?,
-        },
-        l2_accesses: u(j, "l2_accesses")?,
-        l2_misses: u(j, "l2_misses")?,
-        group_fracs: j
-            .field("group_frac_bits")?
-            .as_arr()?
-            .iter()
-            .map(bits_f64)
-            .collect::<Option<Vec<f64>>>()?,
-        miss_frac: bits_f64(j.field("miss_frac_bits")?)?,
-        dgroup_accesses: u(j, "dgroup_accesses")?,
-        swaps: u(j, "swaps")?,
-        l2_energy: {
-            let nj = bits_f64(j.field("l2_energy_bits")?)?;
-            (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))?
-        },
-        energy: EnergyTally {
-            core: e("core")?,
-            l1: e("l1")?,
-            l2: e("l2")?,
-            memory: e("memory")?,
-        },
-    })
+fn bits_f64s(j: &Json) -> Option<Vec<f64>> {
+    list(j, bits_f64)
+}
+
+/// Decodes an array element by element; `None` if any element fails.
+fn list<T>(j: &Json, decode: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+    j.as_arr()?.iter().map(decode).collect()
+}
+
+/// Decodes an energy, rejecting a non-finite or negative bit pattern
+/// (which `EnergyNj::new` would panic on).
+fn bits_nj(j: &Json) -> Option<EnergyNj> {
+    let nj = bits_f64(j)?;
+    (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))
 }
 
 fn encode_core(c: &CoreResult) -> Json {
@@ -149,128 +81,163 @@ fn decode_core(j: &Json) -> Option<CoreResult> {
     })
 }
 
-/// Encodes a CMP run as a JSON object (the artifact payload). The
-/// `cmp_cores` field discriminates the family: [`decode`] requires an
-/// `"app"` field this payload never has, and [`decode_cmp`] requires
-/// `cmp_cores`, so the two codecs can never cross-decode.
-pub fn encode_cmp(run: &CmpRun) -> Json {
-    let r = &run.result;
+fn encode_energy(e: &EnergyTally) -> Json {
     Json::obj(vec![
-        ("cmp_cores", Json::U64(u64::from(run.cores))),
-        ("config", Json::Str(run.key.to_string())),
-        (
-            "apps",
-            Json::Arr(run.apps.iter().map(|a| Json::Str((*a).to_string())).collect()),
-        ),
-        ("mean_ipc", Json::F64((run.mean_ipc() * 1e4).round() / 1e4)),
-        ("per_core", Json::Arr(r.per_core.iter().map(encode_core).collect())),
-        ("l2_accesses", Json::U64(r.report.l2_accesses)),
-        ("l2_misses", Json::U64(r.report.l2_misses)),
-        (
-            "group_frac_bits",
-            Json::Arr(r.report.group_fracs.iter().map(|&f| f64_bits(f)).collect()),
-        ),
-        ("miss_frac_bits", f64_bits(r.report.miss_frac)),
-        ("dgroup_accesses", Json::U64(r.report.dgroup_accesses)),
-        ("swaps", Json::U64(r.report.swaps)),
-        ("memory_accesses", Json::U64(r.report.memory_accesses)),
-        ("l2_energy_bits", f64_bits(r.report.l2_energy.nj())),
-        ("bank_conflicts", Json::U64(r.bank_conflicts)),
-        ("bank_stall_cycles", Json::U64(r.bank_stall_cycles)),
-        (
-            "per_core_bank_stalls",
-            Json::Arr(r.per_core_bank_stalls.iter().map(|&v| Json::U64(v)).collect()),
-        ),
-        (
-            "invalidations",
-            Json::Arr(r.invalidations.iter().map(|&v| Json::U64(v)).collect()),
-        ),
+        ("core", f64_bits(e.core.nj())),
+        ("l1", f64_bits(e.l1.nj())),
+        ("l2", f64_bits(e.l2.nj())),
+        ("memory", f64_bits(e.memory.nj())),
     ])
 }
 
-/// Decodes a CMP run from an artifact payload. Returns `None` if any
-/// field is missing or ill-typed, the configuration key is not a CMP
-/// key, any application is not in the roster, or the per-core vector
-/// lengths disagree with the core count (the caller then re-simulates).
-pub fn decode_cmp(j: &Json) -> Option<CmpRun> {
-    let cores = u32::try_from(j.field("cmp_cores")?.as_u64()?).ok()?;
-    let key = crate::cmp::key_of(j.field("config")?.as_str()?)?;
-    let apps = j
-        .field("apps")?
-        .as_arr()?
-        .iter()
-        .map(|a| Some(workloads::profiles::by_name(a.as_str()?)?.name))
-        .collect::<Option<Vec<&'static str>>>()?;
-    let per_core = j
-        .field("per_core")?
-        .as_arr()?
-        .iter()
-        .map(decode_core)
-        .collect::<Option<Vec<CoreResult>>>()?;
-    let u64s = |k: &str| -> Option<Vec<u64>> {
-        j.field(k)?.as_arr()?.iter().map(Json::as_u64).collect()
-    };
-    let per_core_bank_stalls = u64s("per_core_bank_stalls")?;
-    let invalidations = u64s("invalidations")?;
-    let n = cores as usize;
-    if apps.len() != n
-        || per_core.len() != n
-        || per_core_bank_stalls.len() != n
-        || invalidations.len() != n
-    {
-        return None;
-    }
-    let u = |k: &str| j.field(k)?.as_u64();
-    Some(CmpRun {
-        key,
-        cores,
-        apps,
-        result: ::cmp::CmpResult {
-            per_core,
-            report: OrgReport {
-                l2_accesses: u("l2_accesses")?,
-                l2_misses: u("l2_misses")?,
-                group_fracs: j
-                    .field("group_frac_bits")?
-                    .as_arr()?
-                    .iter()
-                    .map(bits_f64)
-                    .collect::<Option<Vec<f64>>>()?,
-                miss_frac: bits_f64(j.field("miss_frac_bits")?)?,
-                dgroup_accesses: u("dgroup_accesses")?,
-                swaps: u("swaps")?,
-                memory_accesses: u("memory_accesses")?,
-                l2_energy: {
-                    let nj = bits_f64(j.field("l2_energy_bits")?)?;
-                    (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))?
-                },
-            },
-            bank_conflicts: u("bank_conflicts")?,
-            bank_stall_cycles: u("bank_stall_cycles")?,
-            per_core_bank_stalls,
-            invalidations,
-        },
+fn decode_energy(j: &Json) -> Option<EnergyTally> {
+    Some(EnergyTally {
+        core: bits_nj(j.field("core")?)?,
+        l1: bits_nj(j.field("l1")?)?,
+        l2: bits_nj(j.field("l2")?)?,
+        memory: bits_nj(j.field("memory")?)?,
     })
 }
 
+/// A result type stored as a run artifact: its family's payload codec.
+pub trait Artifact: Sized {
+    /// Encodes the result as a JSON object (the artifact payload).
+    fn encode(&self) -> Json;
+
+    /// Decodes a payload. Returns `None` if any field is missing or
+    /// ill-typed, or the payload belongs to another family (the caller
+    /// then re-simulates).
+    fn decode(j: &Json) -> Option<Self>;
+}
+
+/// The plain run payload. Decoding also fails on an application name
+/// outside the roster.
+impl Artifact for AppRun {
+    fn encode(&self) -> Json {
+        Json::obj(vec![
+            ("app", Json::Str(self.name.to_string())),
+            ("ipc", Json::F64((self.ipc() * 1e4).round() / 1e4)),
+            ("core", encode_core(&self.core)),
+            ("l2_accesses", Json::U64(self.l2_accesses)),
+            ("l2_misses", Json::U64(self.l2_misses)),
+            ("group_frac_bits", f64s_bits(&self.group_fracs)),
+            ("miss_frac_bits", f64_bits(self.miss_frac)),
+            ("dgroup_accesses", Json::U64(self.dgroup_accesses)),
+            ("swaps", Json::U64(self.swaps)),
+            ("l2_energy_bits", f64_bits(self.l2_energy.nj())),
+            ("energy_bits", encode_energy(&self.energy)),
+        ])
+    }
+
+    fn decode(j: &Json) -> Option<Self> {
+        let u = |k: &str| j.field(k)?.as_u64();
+        Some(AppRun {
+            name: workloads::profiles::by_name(j.field("app")?.as_str()?)?.name,
+            core: decode_core(j.field("core")?)?,
+            l2_accesses: u("l2_accesses")?,
+            l2_misses: u("l2_misses")?,
+            group_fracs: bits_f64s(j.field("group_frac_bits")?)?,
+            miss_frac: bits_f64(j.field("miss_frac_bits")?)?,
+            dgroup_accesses: u("dgroup_accesses")?,
+            swaps: u("swaps")?,
+            l2_energy: bits_nj(j.field("l2_energy_bits")?)?,
+            energy: decode_energy(j.field("energy_bits")?)?,
+        })
+    }
+}
+
+/// The CMP payload. The `cmp_cores` field discriminates the family: the
+/// plain decoder requires an `"app"` field this payload never has, and
+/// this one requires `cmp_cores`, so the two can never cross-decode.
+/// Decoding also fails on a configuration key
+/// [`crate::exps::kind_of`] does not know, an application outside the
+/// roster, or per-core vector lengths that disagree with the core count.
+impl Artifact for CmpRun {
+    fn encode(&self) -> Json {
+        let r = &self.result;
+        Json::obj(vec![
+            ("cmp_cores", Json::U64(u64::from(self.cores))),
+            ("config", Json::Str(self.key.to_string())),
+            (
+                "apps",
+                Json::Arr(self.apps.iter().map(|a| Json::Str((*a).to_string())).collect()),
+            ),
+            ("mean_ipc", Json::F64((self.mean_ipc() * 1e4).round() / 1e4)),
+            ("per_core", Json::Arr(r.per_core.iter().map(encode_core).collect())),
+            ("l2_accesses", Json::U64(r.report.l2_accesses)),
+            ("l2_misses", Json::U64(r.report.l2_misses)),
+            ("group_frac_bits", f64s_bits(&r.report.group_fracs)),
+            ("miss_frac_bits", f64_bits(r.report.miss_frac)),
+            ("dgroup_accesses", Json::U64(r.report.dgroup_accesses)),
+            ("swaps", Json::U64(r.report.swaps)),
+            ("memory_accesses", Json::U64(r.report.memory_accesses)),
+            ("l2_energy_bits", f64_bits(r.report.l2_energy.nj())),
+            ("bank_conflicts", Json::U64(r.bank_conflicts)),
+            ("bank_stall_cycles", Json::U64(r.bank_stall_cycles)),
+            (
+                "per_core_bank_stalls",
+                Json::Arr(r.per_core_bank_stalls.iter().map(|&v| Json::U64(v)).collect()),
+            ),
+            (
+                "invalidations",
+                Json::Arr(r.invalidations.iter().map(|&v| Json::U64(v)).collect()),
+            ),
+        ])
+    }
+
+    fn decode(j: &Json) -> Option<Self> {
+        let cores = u32::try_from(j.field("cmp_cores")?.as_u64()?).ok()?;
+        let key = crate::exps::config_key(j.field("config")?.as_str()?)?;
+        let apps = list(j.field("apps")?, |a| {
+            Some(workloads::profiles::by_name(a.as_str()?)?.name)
+        })?;
+        let per_core = list(j.field("per_core")?, decode_core)?;
+        let per_core_bank_stalls = list(j.field("per_core_bank_stalls")?, Json::as_u64)?;
+        let invalidations = list(j.field("invalidations")?, Json::as_u64)?;
+        let n = cores as usize;
+        if apps.len() != n
+            || per_core.len() != n
+            || per_core_bank_stalls.len() != n
+            || invalidations.len() != n
+        {
+            return None;
+        }
+        let u = |k: &str| j.field(k)?.as_u64();
+        Some(CmpRun {
+            key,
+            cores,
+            apps,
+            result: ::cmp::CmpResult {
+                per_core,
+                report: OrgReport {
+                    l2_accesses: u("l2_accesses")?,
+                    l2_misses: u("l2_misses")?,
+                    group_fracs: bits_f64s(j.field("group_frac_bits")?)?,
+                    miss_frac: bits_f64(j.field("miss_frac_bits")?)?,
+                    dgroup_accesses: u("dgroup_accesses")?,
+                    swaps: u("swaps")?,
+                    memory_accesses: u("memory_accesses")?,
+                    l2_energy: bits_nj(j.field("l2_energy_bits")?)?,
+                },
+                bank_conflicts: u("bank_conflicts")?,
+                bank_stall_cycles: u("bank_stall_cycles")?,
+                per_core_bank_stalls,
+                invalidations,
+            },
+        })
+    }
+}
+
+/// A window object carries its L4 stats inline, as top-level fields.
 fn encode_window(w: &TransientWindow) -> Json {
-    let s = &w.l4;
-    Json::obj(vec![
+    let mut pairs = vec![
         ("instructions", Json::U64(w.instructions)),
         ("cycles", Json::U64(w.cycles)),
         ("n_banks", Json::U64(u64::from(w.n_banks))),
-        ("accesses", Json::U64(s.accesses)),
-        ("hits", Json::U64(s.hits)),
-        ("misses", Json::U64(s.misses)),
-        ("fills", Json::U64(s.fills)),
-        ("dirty_fills", Json::U64(s.dirty_fills)),
-        ("writebacks", Json::U64(s.writebacks)),
-        ("tag_probes", Json::U64(s.tag_probes)),
-        ("tag_cache_hits", Json::U64(s.tag_cache_hits)),
-        ("resize_writebacks", Json::U64(s.resize_writebacks)),
-        ("resizes", Json::U64(s.resizes)),
-        ("memory_energy_bits", f64_bits(w.memory_energy.nj())),
-    ])
+    ];
+    pairs.extend(l4_pairs(&w.l4));
+    pairs.push(("memory_energy_bits", f64_bits(w.memory_energy.nj())));
+    Json::obj(pairs)
 }
 
 fn decode_window(j: &Json) -> Option<TransientWindow> {
@@ -279,66 +246,43 @@ fn decode_window(j: &Json) -> Option<TransientWindow> {
         instructions: u("instructions")?,
         cycles: u("cycles")?,
         n_banks: u32::try_from(u("n_banks")?).ok()?,
-        l4: L4Stats {
-            accesses: u("accesses")?,
-            hits: u("hits")?,
-            misses: u("misses")?,
-            fills: u("fills")?,
-            dirty_fills: u("dirty_fills")?,
-            writebacks: u("writebacks")?,
-            tag_probes: u("tag_probes")?,
-            tag_cache_hits: u("tag_cache_hits")?,
-            resize_writebacks: u("resize_writebacks")?,
-            resizes: u("resizes")?,
-        },
-        memory_energy: {
-            let nj = bits_f64(j.field("memory_energy_bits")?)?;
-            (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))?
-        },
+        l4: decode_l4(j)?,
+        memory_energy: bits_nj(j.field("memory_energy_bits")?)?,
     })
 }
 
-/// Encodes a DRAM-transient run as a JSON object (the artifact
-/// payload). The `dram_app` field discriminates the family — neither
-/// [`decode`] (wants a top-level `"app"`) nor [`decode_cmp`] (wants
-/// `"cmp_cores"`) will touch this payload, and [`decode_dram`] requires
-/// `dram_app`, so the three codecs can never cross-decode. The
+/// The DRAM-transient payload. The `dram_app` field discriminates the
+/// family — neither the plain decoder (wants a top-level `"app"`) nor
+/// the CMP one (wants `"cmp_cores"`) will touch this payload, and this
+/// one requires `dram_app`, so the three can never cross-decode. The
 /// whole-run [`AppRun`] nests under `"run"` using the plain codec.
-pub fn encode_dram(run: &DramRun) -> Json {
-    Json::obj(vec![
-        ("dram_app", Json::Str(run.run.name.to_string())),
-        ("run", encode(&run.run)),
-        (
-            "windows",
-            Json::Arr(run.windows.iter().map(encode_window).collect()),
-        ),
-    ])
+/// Decoding also fails on an empty window list or a discriminator that
+/// disagrees with the nested run's application.
+impl Artifact for DramRun {
+    fn encode(&self) -> Json {
+        Json::obj(vec![
+            ("dram_app", Json::Str(self.run.name.to_string())),
+            ("run", self.run.encode()),
+            ("windows", Json::Arr(self.windows.iter().map(encode_window).collect())),
+        ])
+    }
+
+    fn decode(j: &Json) -> Option<Self> {
+        let name = j.field("dram_app")?.as_str()?;
+        let run = AppRun::decode(j.field("run")?)?;
+        if run.name != name {
+            return None;
+        }
+        let windows = list(j.field("windows")?, decode_window)?;
+        if windows.is_empty() {
+            return None;
+        }
+        Some(DramRun { run, windows })
+    }
 }
 
-/// Decodes a DRAM-transient run from an artifact payload. Returns
-/// `None` if any field is missing or ill-typed, the window list is
-/// empty, or the discriminator disagrees with the nested run's
-/// application (the caller then re-simulates).
-pub fn decode_dram(j: &Json) -> Option<DramRun> {
-    let name = j.field("dram_app")?.as_str()?;
-    let run = decode(j.field("run")?)?;
-    if run.name != name {
-        return None;
-    }
-    let windows = j
-        .field("windows")?
-        .as_arr()?
-        .iter()
-        .map(decode_window)
-        .collect::<Option<Vec<TransientWindow>>>()?;
-    if windows.is_empty() {
-        return None;
-    }
-    Some(DramRun { run, windows })
-}
-
-fn encode_l4(s: &L4Stats) -> Json {
-    Json::obj(vec![
+fn l4_pairs(s: &L4Stats) -> Vec<(&'static str, Json)> {
+    vec![
         ("accesses", Json::U64(s.accesses)),
         ("hits", Json::U64(s.hits)),
         ("misses", Json::U64(s.misses)),
@@ -349,7 +293,7 @@ fn encode_l4(s: &L4Stats) -> Json {
         ("tag_cache_hits", Json::U64(s.tag_cache_hits)),
         ("resize_writebacks", Json::U64(s.resize_writebacks)),
         ("resizes", Json::U64(s.resizes)),
-    ])
+    ]
 }
 
 fn decode_l4(j: &Json) -> Option<L4Stats> {
@@ -368,28 +312,6 @@ fn decode_l4(j: &Json) -> Option<L4Stats> {
     })
 }
 
-fn encode_energy(e: &EnergyTally) -> Json {
-    Json::obj(vec![
-        ("core", f64_bits(e.core.nj())),
-        ("l1", f64_bits(e.l1.nj())),
-        ("l2", f64_bits(e.l2.nj())),
-        ("memory", f64_bits(e.memory.nj())),
-    ])
-}
-
-fn decode_energy(j: &Json) -> Option<EnergyTally> {
-    let e = |k: &str| -> Option<EnergyNj> {
-        let nj = bits_f64(j.field(k)?)?;
-        (nj.is_finite() && nj >= 0.0).then(|| EnergyNj::new(nj))
-    };
-    Some(EnergyTally {
-        core: e("core")?,
-        l1: e("l1")?,
-        l2: e("l2")?,
-        memory: e("memory")?,
-    })
-}
-
 fn encode_obs(w: &WindowObs) -> Json {
     let mut pairs = vec![
         ("index", Json::U64(w.index)),
@@ -400,15 +322,12 @@ fn encode_obs(w: &WindowObs) -> Json {
         ("l2_misses", Json::U64(w.l2_misses)),
         ("dgroup_accesses", Json::U64(w.dgroup_accesses)),
         ("swaps", Json::U64(w.swaps)),
-        (
-            "group_hit_bits",
-            Json::Arr(w.group_hits.iter().map(|&h| f64_bits(h)).collect()),
-        ),
+        ("group_hit_bits", f64s_bits(&w.group_hits)),
         ("memory_accesses", Json::U64(w.memory_accesses)),
         ("energy_bits", encode_energy(&w.energy)),
     ];
     if let Some(s) = &w.l4 {
-        pairs.push(("l4", encode_l4(s)));
+        pairs.push(("l4", Json::obj(l4_pairs(s))));
     }
     Json::obj(pairs)
 }
@@ -424,12 +343,7 @@ fn decode_obs(j: &Json) -> Option<WindowObs> {
         l2_misses: u("l2_misses")?,
         dgroup_accesses: u("dgroup_accesses")?,
         swaps: u("swaps")?,
-        group_hits: j
-            .field("group_hit_bits")?
-            .as_arr()?
-            .iter()
-            .map(bits_f64)
-            .collect::<Option<Vec<f64>>>()?,
+        group_hits: bits_f64s(j.field("group_hit_bits")?)?,
         memory_accesses: u("memory_accesses")?,
         l4: match j.field("l4") {
             Some(l4) => Some(decode_l4(l4)?),
@@ -439,68 +353,59 @@ fn decode_obs(j: &Json) -> Option<WindowObs> {
     })
 }
 
-/// Encodes a sampled run as a JSON object (the artifact payload). The
-/// `sampled_app` field discriminates the family from the `"app"`,
-/// `"cmp_cores"`, and `"dram_app"` payloads; the estimated [`AppRun`]
-/// nests under `"run"` using the plain codec and the per-window
-/// observations under `"windows"`, so a resumed sampling study
-/// reproduces both the estimate and its confidence intervals
-/// bit-identically.
-pub fn encode_sampled(run: &SampledRun) -> Json {
-    Json::obj(vec![
-        ("sampled_app", Json::Str(run.run.name.to_string())),
-        (
-            "spec",
-            Json::obj(vec![
-                ("period", Json::U64(run.spec.period)),
-                ("warmup", Json::U64(run.spec.warmup)),
-                ("measure", Json::U64(run.spec.measure)),
-            ]),
-        ),
-        ("intervals", Json::U64(run.intervals)),
-        ("total_instructions", Json::U64(run.total_instructions)),
-        ("detailed_instructions", Json::U64(run.detailed_instructions)),
-        ("run", encode(&run.run)),
-        (
-            "windows",
-            Json::Arr(run.windows.iter().map(encode_obs).collect()),
-        ),
-    ])
-}
+/// The sampled-run payload. The `sampled_app` field discriminates the
+/// family from the `"app"`, `"cmp_cores"`, and `"dram_app"` payloads;
+/// the estimated [`AppRun`] nests under `"run"` using the plain codec
+/// and the per-window observations under `"windows"`, so a resumed
+/// sampling study reproduces both the estimate and its confidence
+/// intervals bit-identically. Decoding also fails on an empty window
+/// list or a discriminator that disagrees with the nested run's
+/// application.
+impl Artifact for SampledRun {
+    fn encode(&self) -> Json {
+        Json::obj(vec![
+            ("sampled_app", Json::Str(self.run.name.to_string())),
+            (
+                "spec",
+                Json::obj(vec![
+                    ("period", Json::U64(self.spec.period)),
+                    ("warmup", Json::U64(self.spec.warmup)),
+                    ("measure", Json::U64(self.spec.measure)),
+                ]),
+            ),
+            ("intervals", Json::U64(self.intervals)),
+            ("total_instructions", Json::U64(self.total_instructions)),
+            ("detailed_instructions", Json::U64(self.detailed_instructions)),
+            ("run", self.run.encode()),
+            ("windows", Json::Arr(self.windows.iter().map(encode_obs).collect())),
+        ])
+    }
 
-/// Decodes a sampled run from an artifact payload. Returns `None` if
-/// any field is missing or ill-typed, the window list is empty, or the
-/// discriminator disagrees with the nested run's application (the
-/// caller then re-simulates).
-pub fn decode_sampled(j: &Json) -> Option<SampledRun> {
-    let name = j.field("sampled_app")?.as_str()?;
-    let run = decode(j.field("run")?)?;
-    if run.name != name {
-        return None;
+    fn decode(j: &Json) -> Option<Self> {
+        let name = j.field("sampled_app")?.as_str()?;
+        let run = AppRun::decode(j.field("run")?)?;
+        if run.name != name {
+            return None;
+        }
+        let spec = j.field("spec")?;
+        let su = |k: &str| spec.field(k)?.as_u64();
+        let windows = list(j.field("windows")?, decode_obs)?;
+        if windows.is_empty() {
+            return None;
+        }
+        Some(SampledRun {
+            run,
+            spec: SampleSpec {
+                period: su("period")?,
+                warmup: su("warmup")?,
+                measure: su("measure")?,
+            },
+            intervals: j.field("intervals")?.as_u64()?,
+            total_instructions: j.field("total_instructions")?.as_u64()?,
+            detailed_instructions: j.field("detailed_instructions")?.as_u64()?,
+            windows,
+        })
     }
-    let spec = j.field("spec")?;
-    let su = |k: &str| spec.field(k)?.as_u64();
-    let windows = j
-        .field("windows")?
-        .as_arr()?
-        .iter()
-        .map(decode_obs)
-        .collect::<Option<Vec<WindowObs>>>()?;
-    if windows.is_empty() {
-        return None;
-    }
-    Some(SampledRun {
-        run,
-        spec: SampleSpec {
-            period: su("period")?,
-            warmup: su("warmup")?,
-            measure: su("measure")?,
-        },
-        intervals: j.field("intervals")?.as_u64()?,
-        total_instructions: j.field("total_instructions")?.as_u64()?,
-        detailed_instructions: j.field("detailed_instructions")?.as_u64()?,
-        windows,
-    })
 }
 
 #[cfg(test)]
@@ -524,7 +429,7 @@ mod tests {
     #[test]
     fn encode_decode_is_bit_identical() {
         let run = sample();
-        let back = decode(&encode(&run)).expect("decodes");
+        let back = AppRun::decode(&run.encode()).expect("decodes");
         // PartialEq on AppRun compares every field, including exact f64s.
         assert_eq!(run, back);
     }
@@ -532,28 +437,28 @@ mod tests {
     #[test]
     fn decode_survives_a_disk_roundtrip() {
         let run = sample();
-        let line = encode(&run).render();
+        let line = run.encode().render();
         let parsed = simsched::json::parse(&line).expect("parses");
-        assert_eq!(decode(&parsed).expect("decodes"), run);
+        assert_eq!(AppRun::decode(&parsed).expect("decodes"), run);
     }
 
     #[test]
     fn corrupt_payloads_decode_to_none() {
         let run = sample();
-        let mut j = encode(&run);
+        let mut j = run.encode();
         // Unknown app.
         if let Json::Obj(pairs) = &mut j {
             pairs[0].1 = Json::Str("not-a-benchmark".into());
         }
-        assert!(decode(&j).is_none());
+        assert!(AppRun::decode(&j).is_none());
         // Missing field.
-        let mut j = encode(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             pairs.retain(|(k, _)| k != "swaps");
         }
-        assert!(decode(&j).is_none());
+        assert!(AppRun::decode(&j).is_none());
         // Negative energy bit pattern must not panic EnergyNj::new.
-        let mut j = encode(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             for (k, v) in pairs.iter_mut() {
                 if k == "l2_energy_bits" {
@@ -561,7 +466,7 @@ mod tests {
                 }
             }
         }
-        assert!(decode(&j).is_none());
+        assert!(AppRun::decode(&j).is_none());
     }
 
     fn cmp_sample() -> crate::cmp::CmpRun {
@@ -583,24 +488,24 @@ mod tests {
     #[test]
     fn cmp_encode_decode_is_bit_identical() {
         let run = cmp_sample();
-        let line = encode_cmp(&run).render();
+        let line = run.encode().render();
         let parsed = simsched::json::parse(&line).expect("parses");
-        assert_eq!(decode_cmp(&parsed).expect("decodes"), run);
+        assert_eq!(CmpRun::decode(&parsed).expect("decodes"), run);
     }
 
     #[test]
     fn cmp_and_app_codecs_never_cross_decode() {
         let cmp_run = cmp_sample();
         let app_run = sample();
-        assert!(decode(&encode_cmp(&cmp_run)).is_none(), "AppRun decoder rejects CMP");
-        assert!(decode_cmp(&encode(&app_run)).is_none(), "CMP decoder rejects AppRun");
+        assert!(AppRun::decode(&cmp_run.encode()).is_none(), "AppRun decoder rejects CMP");
+        assert!(CmpRun::decode(&app_run.encode()).is_none(), "CMP decoder rejects AppRun");
     }
 
     #[test]
     fn corrupt_cmp_payloads_decode_to_none() {
         let run = cmp_sample();
         // Core-count / vector-length mismatch.
-        let mut j = encode_cmp(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             for (k, v) in pairs.iter_mut() {
                 if k == "cmp_cores" {
@@ -608,9 +513,9 @@ mod tests {
                 }
             }
         }
-        assert!(decode_cmp(&j).is_none());
+        assert!(CmpRun::decode(&j).is_none());
         // Unknown configuration key.
-        let mut j = encode_cmp(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             for (k, v) in pairs.iter_mut() {
                 if k == "config" {
@@ -618,13 +523,13 @@ mod tests {
                 }
             }
         }
-        assert!(decode_cmp(&j).is_none());
+        assert!(CmpRun::decode(&j).is_none());
         // Missing field.
-        let mut j = encode_cmp(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             pairs.retain(|(k, _)| k != "bank_conflicts");
         }
-        assert!(decode_cmp(&j).is_none());
+        assert!(CmpRun::decode(&j).is_none());
     }
 
     fn dram_sample() -> DramRun {
@@ -645,20 +550,20 @@ mod tests {
     #[test]
     fn dram_encode_decode_survives_a_disk_roundtrip() {
         let run = dram_sample();
-        let line = encode_dram(&run).render();
+        let line = run.encode().render();
         let parsed = simsched::json::parse(&line).expect("parses");
-        assert_eq!(decode_dram(&parsed).expect("decodes"), run);
+        assert_eq!(DramRun::decode(&parsed).expect("decodes"), run);
     }
 
     #[test]
     fn dram_codec_never_cross_decodes() {
         let dram_run = dram_sample();
-        let j = encode_dram(&dram_run);
-        assert!(decode(&j).is_none(), "AppRun decoder rejects DramRun");
-        assert!(decode_cmp(&j).is_none(), "CMP decoder rejects DramRun");
-        assert!(decode_dram(&encode(&sample())).is_none(), "DramRun decoder rejects AppRun");
+        let j = dram_run.encode();
+        assert!(AppRun::decode(&j).is_none(), "AppRun decoder rejects DramRun");
+        assert!(CmpRun::decode(&j).is_none(), "CMP decoder rejects DramRun");
+        assert!(DramRun::decode(&sample().encode()).is_none(), "DramRun decoder rejects AppRun");
         assert!(
-            decode_dram(&encode_cmp(&cmp_sample())).is_none(),
+            DramRun::decode(&cmp_sample().encode()).is_none(),
             "DramRun decoder rejects CmpRun"
         );
     }
@@ -685,20 +590,20 @@ mod tests {
     #[test]
     fn sampled_encode_decode_survives_a_disk_roundtrip() {
         let run = sampled_sample();
-        let line = encode_sampled(&run).render();
+        let line = run.encode().render();
         let parsed = simsched::json::parse(&line).expect("parses");
-        assert_eq!(decode_sampled(&parsed).expect("decodes"), run);
+        assert_eq!(SampledRun::decode(&parsed).expect("decodes"), run);
     }
 
     #[test]
     fn sampled_codec_never_cross_decodes() {
         let s = sampled_sample();
-        let j = encode_sampled(&s);
-        assert!(decode(&j).is_none(), "AppRun decoder rejects SampledRun");
-        assert!(decode_cmp(&j).is_none(), "CMP decoder rejects SampledRun");
-        assert!(decode_dram(&j).is_none(), "DramRun decoder rejects SampledRun");
+        let j = s.encode();
+        assert!(AppRun::decode(&j).is_none(), "AppRun decoder rejects SampledRun");
+        assert!(CmpRun::decode(&j).is_none(), "CMP decoder rejects SampledRun");
+        assert!(DramRun::decode(&j).is_none(), "DramRun decoder rejects SampledRun");
         assert!(
-            decode_sampled(&encode(&sample())).is_none(),
+            SampledRun::decode(&sample().encode()).is_none(),
             "SampledRun decoder rejects AppRun"
         );
     }
@@ -707,13 +612,13 @@ mod tests {
     fn corrupt_sampled_payloads_decode_to_none() {
         let run = sampled_sample();
         // Discriminator disagreeing with the nested run.
-        let mut j = encode_sampled(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             pairs[0].1 = Json::Str("wupwise".into());
         }
-        assert!(decode_sampled(&j).is_none());
+        assert!(SampledRun::decode(&j).is_none());
         // Empty window list.
-        let mut j = encode_sampled(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             for (k, v) in pairs.iter_mut() {
                 if k == "windows" {
@@ -721,9 +626,9 @@ mod tests {
                 }
             }
         }
-        assert!(decode_sampled(&j).is_none());
+        assert!(SampledRun::decode(&j).is_none());
         // A window missing a field.
-        let mut j = encode_sampled(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             for (k, v) in pairs.iter_mut() {
                 if k == "windows" {
@@ -735,20 +640,20 @@ mod tests {
                 }
             }
         }
-        assert!(decode_sampled(&j).is_none());
+        assert!(SampledRun::decode(&j).is_none());
     }
 
     #[test]
     fn corrupt_dram_payloads_decode_to_none() {
         let run = dram_sample();
         // Discriminator disagreeing with the nested run.
-        let mut j = encode_dram(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             pairs[0].1 = Json::Str("wupwise".into());
         }
-        assert!(decode_dram(&j).is_none());
+        assert!(DramRun::decode(&j).is_none());
         // Empty window list.
-        let mut j = encode_dram(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             for (k, v) in pairs.iter_mut() {
                 if k == "windows" {
@@ -756,9 +661,9 @@ mod tests {
                 }
             }
         }
-        assert!(decode_dram(&j).is_none());
+        assert!(DramRun::decode(&j).is_none());
         // A window missing one stats field.
-        let mut j = encode_dram(&run);
+        let mut j = run.encode();
         if let Json::Obj(pairs) = &mut j {
             for (k, v) in pairs.iter_mut() {
                 if k == "windows" {
@@ -770,6 +675,6 @@ mod tests {
                 }
             }
         }
-        assert!(decode_dram(&j).is_none());
+        assert!(DramRun::decode(&j).is_none());
     }
 }

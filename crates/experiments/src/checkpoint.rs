@@ -4,9 +4,9 @@
 //! warm-up phase — trace-generator position, trained branch predictor,
 //! L1 contents, and the full lower-level organization — sealed with the
 //! [`simbase::snapshot`] envelope (magic, version, checksum) and keyed by
-//! [`crate::runner::warmup_digest`]. Because the key covers exactly the
-//! inputs that shape warm-up architectural state (and nothing
-//! timing-only), configurations that differ only in latency knobs share
+//! [`crate::runner::RunSpec::warmup_digest`]. Because the key covers
+//! exactly the inputs that shape warm-up architectural state (and no
+//! timing knob), configurations that differ only in latency knobs share
 //! one checkpoint, and the measured phase restored from a checkpoint is
 //! bit-identical to one that warmed up in-process (DESIGN.md §11).
 //!

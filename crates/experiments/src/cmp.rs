@@ -14,11 +14,13 @@
 
 use crate::report::{f2, pct, rel, TextTable};
 use crate::runner::{
-    digest_kind_architectural, digest_profile, L2Kind, RunOptions, Scale, TRACE_SEED,
+    digest_profile, warm_state, L2Kind, Regime, RunOptions, RunSpec, Scale, Slice, Workload,
+    TRACE_SEED,
 };
 use crate::sampling::SampleSpec;
 use ::cmp::{CmpConfig, CmpResult, CmpSystem};
-use simbase::digest::{Digest, Hasher128};
+use memsys::bankq::BankQueueParams;
+use simbase::digest::Hasher128;
 use simbase::snapshot::{Decoder, Encoder};
 use simtel::TelemetrySink;
 use std::time::Instant;
@@ -38,12 +40,6 @@ pub const CMP_KEYS: &[&str] = &["base", "nf4", "dn-perf", "cnuca"];
 pub fn cmp_profiles(cores: u32) -> Vec<BenchProfile> {
     let hl: Vec<BenchProfile> = profiles::high_load().collect();
     (0..cores as usize).map(|i| hl[i % hl.len()]).collect()
-}
-
-/// Resolves an application name back to its `'static` roster name (the
-/// artifact decoder's counterpart of [`BenchProfile::name`]).
-fn static_key(name: &str) -> Option<&'static str> {
-    CMP_KEYS.iter().copied().find(|&k| k == name)
 }
 
 /// The measured results of one CMP scenario: `cores` cores, each running
@@ -89,81 +85,31 @@ impl CmpRun {
     }
 }
 
-/// Digest of one CMP job: the full scenario configuration, every
-/// per-core profile in core order, the full organization configuration,
-/// the budget, and the seed — everything that determines a [`CmpRun`]
-/// bit-for-bit. Keys the CMP run store and the on-disk artifacts.
-pub fn cmp_run_digest(
-    cfg: &CmpConfig,
-    apps: &[BenchProfile],
-    kind: &L2Kind,
-    scale: Scale,
-) -> Digest {
-    let mut h = Hasher128::new();
-    h.write_str("nurapid-cmp-run-v1");
-    h.write_u32(cfg.cores);
-    h.write_u32(cfg.shared_milli);
-    h.write_u64(cfg.n_banks as u64);
-    h.write_u64(cfg.bank.service_cycles);
-    h.write_u64(cfg.bank.max_delay);
+/// Feeds the CMP workload into `h` for the digest slice `s`: the scenario
+/// configuration, then every per-core profile in core order. Core count
+/// and the shared-region knob are architectural (they shape the per-core
+/// address streams and the sharer map); the bank queue model is timing
+/// state that never runs on the warm path, so its knobs are timing.
+pub(crate) fn digest_workload(h: &mut Hasher128, cfg: &CmpConfig, s: Slice) {
+    let CmpConfig {
+        cores,
+        shared_milli,
+        n_banks,
+        bank: BankQueueParams {
+            service_cycles,
+            max_delay,
+        },
+    } = cfg;
+    h.write_u32(*cores);
+    h.write_u32(*shared_milli);
+    s.timing(h, |h| h.write_u64(*n_banks as u64));
+    s.timing(h, |h| h.write_u64(*service_cycles));
+    s.timing(h, |h| h.write_u64(*max_delay));
+    let apps = cmp_profiles(*cores);
     h.write_u64(apps.len() as u64);
-    for p in apps {
-        digest_profile(&mut h, p);
+    for p in &apps {
+        digest_profile(h, p);
     }
-    kind.digest_into(&mut h);
-    h.write_u64(scale.warmup);
-    h.write_u64(scale.measure);
-    h.write_u64(TRACE_SEED);
-    h.digest()
-}
-
-/// Digest of the warm-up-relevant slice of a CMP job. Core count and
-/// the shared-region knob are architectural (they shape the per-core
-/// address streams and the sharer map); the bank queue model is
-/// timing-only state that never runs on the warm path, so bank count
-/// and bandwidth are deliberately excluded — exactly as the single-core
-/// digest excludes `ideal` and the D-NUCA search policy.
-pub fn cmp_warmup_digest(
-    cfg: &CmpConfig,
-    apps: &[BenchProfile],
-    kind: &L2Kind,
-    scale: Scale,
-) -> Digest {
-    let mut h = Hasher128::new();
-    h.write_str("nurapid-cmp-warmup-v1");
-    h.write_u32(cfg.cores);
-    h.write_u32(cfg.shared_milli);
-    h.write_u64(apps.len() as u64);
-    for p in apps {
-        digest_profile(&mut h, p);
-    }
-    digest_kind_architectural(&mut h, kind);
-    h.write_u64(scale.warmup);
-    h.write_u64(TRACE_SEED);
-    h.write_u32(crate::checkpoint::CHECKPOINT_VERSION);
-    h.digest()
-}
-
-/// Digest of one **sampled** CMP job: the plain [`cmp_run_digest`]
-/// under a distinct domain tag plus the sampling regime, so a sampled
-/// scenario can never alias its unsampled twin (or a different regime)
-/// in the run store or on disk. Sampled CMP runs are never split into
-/// intervals (the multi-core trace interleaving is resolved inside one
-/// [`CmpSystem`]), so no interval count is folded.
-pub fn cmp_sampled_digest(
-    cfg: &CmpConfig,
-    apps: &[BenchProfile],
-    kind: &L2Kind,
-    scale: Scale,
-    spec: SampleSpec,
-) -> Digest {
-    let mut h = Hasher128::new();
-    h.write_str("nurapid-cmp-sampled-v1");
-    let raw = cmp_run_digest(cfg, apps, kind, scale).raw();
-    h.write_u64((raw >> 64) as u64);
-    h.write_u64(raw as u64);
-    spec.digest_into(&mut h);
-    h.digest()
 }
 
 /// Runs one CMP scenario. The instruction budget is split evenly across
@@ -197,40 +143,32 @@ pub fn run_cmp_opts(
     let apps = cmp_profiles(cores);
     let per_core_warm = (scale.warmup / u64::from(cores)).max(1);
     let per_core_measure = (scale.measure / u64::from(cores)).max(1);
-    let fresh = || CmpSystem::new(cfg, kind.build(), &apps, TRACE_SEED);
     let label = format!("cmp{cores}x/{key}");
+    let spec = RunSpec {
+        workload: Workload::Cmp(cfg),
+        kind,
+        scale,
+        regime: Regime::Full,
+    };
 
     let t_warm = Instant::now();
-    let mut sys = match opts.checkpoints {
-        Some(store) => {
-            let chk = cmp_warmup_digest(&cfg, &apps, kind, scale);
-            let (sys, _, hit) = store.get_or_build(
-                chk,
-                fresh,
-                |sys| {
-                    sys.warm_run(per_core_warm);
-                    let mut e = Encoder::new();
-                    sys.save_state(&mut e);
-                    e.into_bytes()
-                },
-                |sys, payload| {
-                    let mut d = Decoder::new(payload);
-                    sys.load_state(&mut d)?;
-                    d.finish()
-                },
-            );
-            if let Some(w) = opts.wall {
-                let outcome = if hit { "hit" } else { "miss" };
-                w.wall_mark("simchk", &format!("{outcome}/{label}"));
-            }
-            sys
-        }
-        None => {
-            let mut sys = fresh();
-            sys.warm_run(per_core_warm);
-            sys
-        }
-    };
+    let mut sys = warm_state(
+        opts,
+        spec.warmup_digest(),
+        &label,
+        || CmpSystem::new(cfg, kind.build(), &apps, TRACE_SEED),
+        |sys| sys.warm_run(per_core_warm),
+        |sys| {
+            let mut e = Encoder::new();
+            sys.save_state(&mut e);
+            e.into_bytes()
+        },
+        |sys, payload| {
+            let mut d = Decoder::new(payload);
+            sys.load_state(&mut d)?;
+            d.finish()
+        },
+    );
     if let Some(w) = opts.wall {
         let name = format!("{label}/{per_core_warm}-ops");
         w.wall_span("warmup-cmp", &name, t_warm.elapsed().as_nanos() as u64);
@@ -352,18 +290,38 @@ impl CmpTable {
     }
 }
 
-/// Resolves a configuration name from an artifact payload back to its
-/// `'static` key, or `None` for a name outside [`CMP_KEYS`] (the caller
-/// then re-simulates).
-pub(crate) fn key_of(name: &str) -> Option<&'static str> {
-    static_key(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::CheckpointStore;
     use crate::exps::kind_of;
+    use simbase::digest::Digest;
+    use simbase::snapshot::Encoder;
+
+    fn spec(cfg: CmpConfig, kind: &L2Kind, scale: Scale, regime: Regime) -> RunSpec<'_> {
+        RunSpec {
+            workload: Workload::Cmp(cfg),
+            kind,
+            scale,
+            regime,
+        }
+    }
+
+    fn cmp_run_digest(cfg: &CmpConfig, kind: &L2Kind, scale: Scale) -> Digest {
+        spec(*cfg, kind, scale, Regime::Full).run_digest()
+    }
+
+    fn cmp_warmup_digest(cfg: &CmpConfig, kind: &L2Kind, scale: Scale) -> Digest {
+        spec(*cfg, kind, scale, Regime::Full).warmup_digest()
+    }
+
+    fn cmp_sampled_digest(cfg: &CmpConfig, kind: &L2Kind, scale: Scale, s: SampleSpec) -> Digest {
+        let regime = Regime::Sampled {
+            spec: s,
+            intervals: 1,
+        };
+        spec(*cfg, kind, scale, regime).run_digest()
+    }
 
     fn tiny() -> Scale {
         Scale {
@@ -391,9 +349,8 @@ mod tests {
     fn run_digest_separates_every_cmp_knob() {
         let kind = kind_of("nf4");
         let cfg = CmpConfig::micro2003(4);
-        let apps = cmp_profiles(4);
-        let base = cmp_run_digest(&cfg, &apps, &kind, tiny());
-        assert_eq!(base, cmp_run_digest(&cfg, &apps, &kind, tiny()), "stable");
+        let base = cmp_run_digest(&cfg, &kind, tiny());
+        assert_eq!(base, cmp_run_digest(&cfg, &kind, tiny()), "stable");
 
         let mut shared = cfg;
         shared.shared_milli = 200;
@@ -404,15 +361,14 @@ mod tests {
         let mut bound = cfg;
         bound.bank.max_delay += 1;
         let variants = [
-            cmp_run_digest(&CmpConfig::micro2003(8), &cmp_profiles(8), &kind, tiny()),
-            cmp_run_digest(&shared, &apps, &kind, tiny()),
-            cmp_run_digest(&banks, &apps, &kind, tiny()),
-            cmp_run_digest(&bw, &apps, &kind, tiny()),
-            cmp_run_digest(&bound, &apps, &kind, tiny()),
-            cmp_run_digest(&cfg, &apps, &kind_of("base"), tiny()),
+            cmp_run_digest(&CmpConfig::micro2003(8), &kind, tiny()),
+            cmp_run_digest(&shared, &kind, tiny()),
+            cmp_run_digest(&banks, &kind, tiny()),
+            cmp_run_digest(&bw, &kind, tiny()),
+            cmp_run_digest(&bound, &kind, tiny()),
+            cmp_run_digest(&cfg, &kind_of("base"), tiny()),
             cmp_run_digest(
                 &cfg,
-                &apps,
                 &kind,
                 Scale {
                     warmup: tiny().warmup,
@@ -430,38 +386,98 @@ mod tests {
         let kind = kind_of("nf4");
         let cfg = CmpConfig::micro2003(4);
         let apps = cmp_profiles(4);
-        let base = cmp_warmup_digest(&cfg, &apps, &kind, tiny());
+        let base = cmp_warmup_digest(&cfg, &kind, tiny());
 
         // Bank count and bandwidth are timing-only: one warm checkpoint.
         let mut banks = cfg;
         banks.n_banks = 16;
         banks.bank.max_delay = 8;
-        assert_eq!(base, cmp_warmup_digest(&banks, &apps, &kind, tiny()));
+        assert_eq!(base, cmp_warmup_digest(&banks, &kind, tiny()));
         // The `ideal` twin and the D-NUCA policies share too, exactly as
         // in the single-core digest.
-        assert_eq!(base, cmp_warmup_digest(&cfg, &apps, &kind_of("id4"), tiny()));
+        assert_eq!(base, cmp_warmup_digest(&cfg, &kind_of("id4"), tiny()));
         assert_eq!(
-            cmp_warmup_digest(&cfg, &apps, &kind_of("dn-perf"), tiny()),
-            cmp_warmup_digest(&cfg, &apps, &kind_of("dn-memo"), tiny()),
+            cmp_warmup_digest(&cfg, &kind_of("dn-perf"), tiny()),
+            cmp_warmup_digest(&cfg, &kind_of("dn-memo"), tiny()),
         );
         // Measured budget is warm-up-irrelevant.
         let longer = Scale {
             warmup: tiny().warmup,
             measure: tiny().measure + 1,
         };
-        assert_eq!(base, cmp_warmup_digest(&cfg, &apps, &kind, longer));
+        assert_eq!(base, cmp_warmup_digest(&cfg, &kind, longer));
 
         // Core count and the shared-region knob are architectural.
         let mut shared = cfg;
         shared.shared_milli = 0;
         let variants = [
-            cmp_warmup_digest(&CmpConfig::micro2003(2), &cmp_profiles(2), &kind, tiny()),
-            cmp_warmup_digest(&shared, &apps, &kind, tiny()),
-            cmp_warmup_digest(&cfg, &apps, &kind_of("base"), tiny()),
-            crate::runner::warmup_digest(&apps[0], &kind, tiny()),
+            cmp_warmup_digest(&CmpConfig::micro2003(2), &kind, tiny()),
+            cmp_warmup_digest(&shared, &kind, tiny()),
+            cmp_warmup_digest(&cfg, &kind_of("base"), tiny()),
+            RunSpec::app(apps[0], &kind, tiny()).warmup_digest(),
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(base, *v, "variant {i} aliased the CMP warm-up digest");
+        }
+    }
+
+    /// Knob soundness for the CMP workload (DESIGN.md §11): the bank
+    /// queue knobs are timing — the warm-up digest and the warm
+    /// `CmpSystem` bytes ignore them, the run digest does not — while the
+    /// core count and the shared region are architectural.
+    #[test]
+    fn cmp_knobs_are_tagged_soundly() {
+        let kind = kind_of("nf4");
+        let base = CmpConfig::micro2003(2);
+        let warm_bytes = |cfg: CmpConfig| {
+            let mut sys = CmpSystem::new(cfg, kind.build(), &cmp_profiles(2), TRACE_SEED);
+            sys.warm_run(5_000);
+            let mut e = Encoder::new();
+            sys.save_state(&mut e);
+            e.into_bytes()
+        };
+        let bank = base.bank;
+        let timing = [
+            ("cmp.n_banks", CmpConfig { n_banks: 16, ..base }),
+            (
+                "cmp.bank.service_cycles",
+                CmpConfig {
+                    bank: BankQueueParams {
+                        service_cycles: bank.service_cycles + 1,
+                        ..bank
+                    },
+                    ..base
+                },
+            ),
+            (
+                "cmp.bank.max_delay",
+                CmpConfig {
+                    bank: BankQueueParams {
+                        max_delay: bank.max_delay + 1,
+                        ..bank
+                    },
+                    ..base
+                },
+            ),
+        ];
+        for (name, knob) in timing {
+            let warmup = |cfg| cmp_warmup_digest(cfg, &kind, tiny());
+            assert_eq!(warmup(&base), warmup(&knob), "{name}: timing knob in the warm-up digest");
+            assert_ne!(
+                cmp_run_digest(&base, &kind, tiny()),
+                cmp_run_digest(&knob, &kind, tiny()),
+                "{name}: knob missing from the run digest"
+            );
+            let same = warm_bytes(base) == warm_bytes(knob);
+            assert!(same, "{name}: timing knob changed warm-up state");
+        }
+        let arch = [
+            ("cmp.cores", CmpConfig::micro2003(4)),
+            ("cmp.shared_milli", CmpConfig { shared_milli: 0, ..base }),
+        ];
+        for (name, knob) in arch {
+            let warmup = |cfg| cmp_warmup_digest(cfg, &kind, tiny());
+            assert_ne!(warmup(&base), warmup(&knob), "{name}: architectural knob missing");
         }
     }
 
@@ -503,22 +519,21 @@ mod tests {
     fn sampled_cmp_digest_separates_regimes() {
         let kind = kind_of("nf4");
         let cfg = CmpConfig::micro2003(4);
-        let apps = cmp_profiles(4);
         let spec = SampleSpec {
             period: 8_000,
             warmup: 400,
             measure: 1_600,
         };
-        let base = cmp_sampled_digest(&cfg, &apps, &kind, tiny(), spec);
-        assert_eq!(base, cmp_sampled_digest(&cfg, &apps, &kind, tiny(), spec), "stable");
+        let base = cmp_sampled_digest(&cfg, &kind, tiny(), spec);
+        assert_eq!(base, cmp_sampled_digest(&cfg, &kind, tiny(), spec), "stable");
         assert_ne!(
             base,
-            cmp_run_digest(&cfg, &apps, &kind, tiny()),
+            cmp_run_digest(&cfg, &kind, tiny()),
             "sampled and unsampled CMP digests must never alias"
         );
         let mut other = spec;
         other.measure += 1;
-        assert_ne!(base, cmp_sampled_digest(&cfg, &apps, &kind, tiny(), other));
+        assert_ne!(base, cmp_sampled_digest(&cfg, &kind, tiny(), other));
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //! drain barrier (DESIGN.md §11) that both warm-up modes cross
 //! identically, which makes the measured phase bit-identical between
 //! them and lets warm architectural state be checkpointed to disk
-//! ([`crate::checkpoint::CheckpointStore`]) keyed by [`warmup_digest`].
+//! ([`crate::checkpoint::CheckpointStore`]) keyed by
+//! [`RunSpec::warmup_digest`].
 
 use crate::checkpoint::CheckpointStore;
+use crate::sampling::SampleSpec;
+use ::cmp::CmpConfig;
 use cpu::uop::TraceSource;
 use cpu::{CoreParams, CoreResult, OooCore};
 use energy::core::CoreEnergyModel;
@@ -131,8 +134,8 @@ impl L2Kind {
     /// the concrete organization behind a `Box<dyn Organization>`. The
     /// rest of the runner — warm-up, checkpointing, the drain barrier,
     /// the measured loop, and the report — never names a concrete cache
-    /// type, so a new organization only needs a variant here plus the
-    /// two digest arms (DESIGN.md §12).
+    /// type, so a new organization only needs a variant here with its
+    /// knobs tagged once in `L2Kind::digest_into` (DESIGN.md §12).
     pub fn build(&self) -> Box<dyn Organization> {
         match self {
             L2Kind::Base => {
@@ -157,8 +160,8 @@ impl L2Kind {
 
     /// The measured-phase resize schedule of the L4 tier (empty for
     /// every other kind). Applied by the measured loop at the scheduled
-    /// op indices; part of [`run_digest`] but never [`warmup_digest`]
-    /// (resizes happen strictly after the warm-up barrier).
+    /// op indices; a timing knob (resizes happen strictly after the
+    /// warm-up barrier).
     pub fn resize_schedule(&self) -> &[(u64, u32)] {
         match self {
             L2Kind::L4(_, cfg) => &cfg.resizes,
@@ -166,31 +169,43 @@ impl L2Kind {
         }
     }
 
-    /// Feeds every field of the configuration into `h`, discriminant
-    /// first, so two organizations digest equal iff they simulate
-    /// identically. This — not a label string — keys the run store and
-    /// the on-disk artifacts.
-    pub fn digest_into(&self, h: &mut Hasher128) {
+    /// Feeds the configuration into `h`, discriminant first, for the
+    /// digest slice `s` (DESIGN.md §11). Every knob is written exactly
+    /// once: an architectural knob as a plain write, a timing knob through
+    /// `Slice::timing`, which the warm-up slice skips. Every config
+    /// struct is destructured without `..`, so a new field does not
+    /// compile until it is tagged here.
+    pub(crate) fn digest_into(&self, h: &mut Hasher128, s: Slice) {
         match self {
             L2Kind::Base => h.write_u8(0),
-            L2Kind::NuRapid(c) => {
+            L2Kind::NuRapid(NuRapidConfig {
+                capacity,
+                assoc,
+                n_dgroups,
+                promotion,
+                distance_victim,
+                seed,
+                ideal,
+                frames_per_region,
+            }) => {
                 h.write_u8(1);
-                h.write_u64(c.capacity.bytes());
-                h.write_u32(c.assoc);
-                h.write_u64(c.n_dgroups as u64);
-                h.write_u8(match c.promotion {
+                h.write_u64(capacity.bytes());
+                h.write_u32(*assoc);
+                h.write_u64(*n_dgroups as u64);
+                h.write_u8(match promotion {
                     PromotionPolicy::DemotionOnly => 0,
                     PromotionPolicy::NextFastest => 1,
                     PromotionPolicy::Fastest => 2,
                 });
-                h.write_u8(match c.distance_victim {
+                h.write_u8(match distance_victim {
                     DistanceVictimPolicy::Random => 0,
                     DistanceVictimPolicy::Lru => 1,
                     DistanceVictimPolicy::ClockApprox => 2,
                 });
-                h.write_u64(c.seed);
-                h.write_bool(c.ideal);
-                h.write_opt_u32(c.frames_per_region);
+                h.write_u64(*seed);
+                // Ideal latency changes hit latency and port occupancy only.
+                s.timing(h, |h| h.write_bool(*ideal));
+                h.write_opt_u32(*frames_per_region);
             }
             L2Kind::Coupled(n) => {
                 h.write_u8(2);
@@ -198,48 +213,101 @@ impl L2Kind {
             }
             L2Kind::Dnuca(policy) => {
                 h.write_u8(3);
-                h.write_u8(match policy {
-                    SearchPolicy::SsPerformance => 0,
-                    SearchPolicy::SsEnergy => 1,
-                    SearchPolicy::WayMemo => 2,
+                // All three policies take identical architectural
+                // transitions (hits, fills, bubble swaps, memo-table
+                // updates); only when timing starts differs. The way memo
+                // is maintained under every policy so this stays true.
+                s.timing(h, |h| {
+                    h.write_u8(match policy {
+                        SearchPolicy::SsPerformance => 0,
+                        SearchPolicy::SsEnergy => 1,
+                        SearchPolicy::WayMemo => 2,
+                    })
                 });
             }
-            L2Kind::Cnuca(c) => {
+            L2Kind::Cnuca(CnucaConfig {
+                capacity,
+                assoc,
+                n_banks,
+                n_positions,
+                comp_seed,
+                decomp_cycles,
+            }) => {
                 h.write_u8(4);
-                h.write_u64(c.capacity.bytes());
-                h.write_u32(c.assoc);
-                h.write_u64(c.n_banks as u64);
-                h.write_u64(c.n_positions as u64);
-                h.write_u64(c.comp_seed);
-                h.write_u64(c.decomp_cycles);
+                h.write_u64(capacity.bytes());
+                h.write_u32(*assoc);
+                h.write_u64(*n_banks as u64);
+                h.write_u64(*n_positions as u64);
+                // The compressibility seed decides which blocks may occupy
+                // the fast compressed ways, so it shapes warm state.
+                h.write_u64(*comp_seed);
+                s.timing(h, |h| h.write_u64(*decomp_cycles));
             }
-            L2Kind::L4(inner, c) => {
+            L2Kind::L4(
+                inner,
+                L4Config {
+                    n_banks,
+                    bank_blocks,
+                    assoc,
+                    vnodes_per_bank,
+                    hash_seed,
+                    block_bytes,
+                    tag_sram_latency,
+                    tag_probe_latency,
+                    base_latency,
+                    cycles_per_8b,
+                    tag_cache_entries,
+                    resizes,
+                },
+            ) => {
                 h.write_u8(5);
-                inner.digest_into(h);
-                h.write_u32(c.n_banks);
-                h.write_u64(c.bank_blocks);
-                h.write_u32(c.assoc);
-                h.write_u32(c.vnodes_per_bank);
-                h.write_u64(c.hash_seed);
-                h.write_u64(c.block_bytes);
-                h.write_u64(c.tag_sram_latency);
-                h.write_u64(c.tag_probe_latency);
-                h.write_u64(c.base_latency);
-                h.write_u64(c.cycles_per_8b);
-                h.write_u32(c.tag_cache_entries);
-                h.write_u64(c.resizes.len() as u64);
-                for &(at, target) in &c.resizes {
-                    h.write_u64(at);
-                    h.write_u32(target);
-                }
+                inner.digest_into(h, s);
+                h.write_u32(*n_banks);
+                h.write_u64(*bank_blocks);
+                h.write_u32(*assoc);
+                h.write_u32(*vnodes_per_bank);
+                h.write_u64(*hash_seed);
+                h.write_u64(*block_bytes);
+                s.timing(h, |h| h.write_u64(*tag_sram_latency));
+                s.timing(h, |h| h.write_u64(*tag_probe_latency));
+                s.timing(h, |h| h.write_u64(*base_latency));
+                s.timing(h, |h| h.write_u64(*cycles_per_8b));
+                s.timing(h, |h| h.write_u32(*tag_cache_entries));
+                // Resizes happen strictly after the warm-up barrier.
+                s.timing(h, |h| {
+                    h.write_u64(resizes.len() as u64);
+                    for &(at, target) in resizes {
+                        h.write_u64(at);
+                        h.write_u32(target);
+                    }
+                });
             }
         }
     }
 }
 
-/// Feeds every field of an application profile into `h`. Shared by the
-/// single-core digests below and the CMP digests in [`crate::cmp`], so
-/// the two families can never disagree about what identifies a workload.
+/// The slice of a run description a digest covers (DESIGN.md §11).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slice {
+    /// Every knob: keys the run store and the on-disk artifacts.
+    Run,
+    /// The architectural knobs only: keys the warm-up checkpoints, so
+    /// configurations that differ only in timing knobs share one.
+    Warmup,
+}
+
+impl Slice {
+    /// Writes a **timing** knob: one that changes when work completes, or
+    /// only the measured phase, but never the architectural state warm-up
+    /// builds. The run slice carries it; the warm-up slice skips it.
+    pub(crate) fn timing(self, h: &mut Hasher128, write: impl FnOnce(&mut Hasher128)) {
+        if self == Slice::Run {
+            write(h);
+        }
+    }
+}
+
+/// Feeds every field of an application profile into `h`.
 pub(crate) fn digest_profile(h: &mut Hasher128, profile: &BenchProfile) {
     h.write_str(profile.name);
     h.write_u8(profile.class as u8);
@@ -257,102 +325,149 @@ pub(crate) fn digest_profile(h: &mut Hasher128, profile: &BenchProfile) {
     h.write_u64(profile.code_footprint.bytes());
 }
 
-/// Digest of one schedulable job: the full application profile, the full
-/// cache configuration, the instruction budget, and the trace seed.
-/// Everything that determines an [`AppRun`] bit-for-bit is included, so
-/// equal digests ⇒ interchangeable results (in-process or on disk).
-pub fn run_digest(profile: &BenchProfile, kind: &L2Kind, scale: Scale) -> Digest {
+/// What a run executes on its cores.
+#[derive(Debug, Clone, Copy)]
+pub enum Workload {
+    /// One application on one core.
+    App(BenchProfile),
+    /// The CMP scenario under this configuration: one core per
+    /// `cores`, each running its rostered application
+    /// ([`crate::cmp::cmp_profiles`]).
+    Cmp(CmpConfig),
+}
+
+/// How a run's measured phase executes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Regime {
+    /// Every measured instruction in detail.
+    Full,
+    /// Periodic sampling ([`crate::sampling`]), split into `intervals`
+    /// interval jobs. CMP runs are never split, so their digest ignores
+    /// the interval count.
+    Sampled {
+        /// The sampling regime.
+        spec: SampleSpec,
+        /// Interval count.
+        intervals: u64,
+    },
+    /// Full detail, sliced into `n` equal instruction windows (the `dram`
+    /// resize transients).
+    Windowed {
+        /// Window count.
+        n: u64,
+    },
+}
+
+/// Domain tag of a sampled single-application run ([`Regime::Sampled`]).
+const SAMPLED_TAG: &str = "nurapid-sampled-v1";
+/// Domain tag of a sampled CMP run.
+const CMP_SAMPLED_TAG: &str = "nurapid-cmp-sampled-v1";
+/// Domain tag of a windowed transient run ([`Regime::Windowed`]).
+const WINDOWED_TAG: &str = "nurapid-dram-v1";
+/// Domain tag of a sampling interval's architectural snapshot.
+const INTERVAL_TAG: &str = "nurapid-sample-snap-v1";
+
+/// A derived digest: a domain tag, the inner digest, then a few more
+/// fields. Every wrapper digest (sampled, windowed, interval snapshots,
+/// the sampling study) has this one form, so none can alias its inner
+/// digest or another family.
+pub(crate) fn derive(tag: &str, inner: Digest, fields: &[u64]) -> Digest {
     let mut h = Hasher128::new();
-    h.write_str("nurapid-run-v1");
-    digest_profile(&mut h, profile);
-    kind.digest_into(&mut h);
-    h.write_u64(scale.warmup);
-    h.write_u64(scale.measure);
-    h.write_u64(TRACE_SEED);
+    h.write_str(tag);
+    h.write_u64((inner.raw() >> 64) as u64);
+    h.write_u64(inner.raw() as u64);
+    for &f in fields {
+        h.write_u64(f);
+    }
     h.digest()
 }
 
-/// Digest of the warm-up-relevant slice of a job: everything that shapes
-/// the architectural state at the end of warm-up, and nothing else. This
-/// keys the on-disk checkpoint store, so two configurations that differ
-/// only in timing knobs — NuRAPID's `ideal` latency mode, D-NUCA's search
-/// policy — or in the measured-instruction budget share one checkpoint.
-pub fn warmup_digest(profile: &BenchProfile, kind: &L2Kind, scale: Scale) -> Digest {
-    let mut h = Hasher128::new();
-    h.write_str("nurapid-warmup-v1");
-    digest_profile(&mut h, profile);
-    digest_kind_architectural(&mut h, kind);
-    h.write_u64(scale.warmup);
-    h.write_u64(TRACE_SEED);
-    h.write_u32(crate::checkpoint::CHECKPOINT_VERSION);
-    h.digest()
+/// One run, described completely: workload, organization, instruction
+/// budget and regime. Both digests derive from it, so what identifies a
+/// run and what identifies its warm-up checkpoint cannot drift apart.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// What runs on the cores.
+    pub workload: Workload,
+    /// The lower-level organization.
+    pub kind: &'a L2Kind,
+    /// The instruction budget.
+    pub scale: Scale,
+    /// How the measured phase executes.
+    pub regime: Regime,
 }
 
-/// Feeds the **architectural** slice of a configuration into `h`:
-/// everything that shapes warm-up state, with timing-only knobs
-/// deliberately excluded so their variants share one checkpoint. Shared
-/// by [`warmup_digest`] and the CMP warm-up digest in [`crate::cmp`].
-pub(crate) fn digest_kind_architectural(h: &mut Hasher128, kind: &L2Kind) {
-    match kind {
-        L2Kind::Base => h.write_u8(0),
-        L2Kind::NuRapid(c) => {
-            h.write_u8(1);
-            h.write_u64(c.capacity.bytes());
-            h.write_u32(c.assoc);
-            h.write_u64(c.n_dgroups as u64);
-            h.write_u8(match c.promotion {
-                PromotionPolicy::DemotionOnly => 0,
-                PromotionPolicy::NextFastest => 1,
-                PromotionPolicy::Fastest => 2,
-            });
-            h.write_u8(match c.distance_victim {
-                DistanceVictimPolicy::Random => 0,
-                DistanceVictimPolicy::Lru => 1,
-                DistanceVictimPolicy::ClockApprox => 2,
-            });
-            h.write_u64(c.seed);
-            // `ideal` deliberately excluded: it changes only hit latency
-            // and port occupancy, never an architectural transition.
-            h.write_opt_u32(c.frames_per_region);
+impl<'a> RunSpec<'a> {
+    /// A full-detail run of one application.
+    pub fn app(profile: BenchProfile, kind: &'a L2Kind, scale: Scale) -> Self {
+        RunSpec {
+            workload: Workload::App(profile),
+            kind,
+            scale,
+            regime: Regime::Full,
         }
-        L2Kind::Coupled(n) => {
-            h.write_u8(2);
-            h.write_u64(*n as u64);
+    }
+
+    /// Digest of everything that determines the run's result bit for bit.
+    /// Keys the run store and the on-disk artifacts: equal digests mean
+    /// interchangeable results.
+    pub fn run_digest(&self) -> Digest {
+        let full = self.digest(Slice::Run);
+        match (self.regime, self.workload) {
+            (Regime::Full, _) => full,
+            (Regime::Sampled { spec, intervals }, Workload::App(_)) => derive(
+                SAMPLED_TAG,
+                full,
+                &[spec.period, spec.warmup, spec.measure, intervals],
+            ),
+            (Regime::Sampled { spec, .. }, Workload::Cmp(_)) => {
+                derive(CMP_SAMPLED_TAG, full, &[spec.period, spec.warmup, spec.measure])
+            }
+            (Regime::Windowed { n }, _) => derive(WINDOWED_TAG, full, &[n]),
         }
-        // The search policy is deliberately excluded: all three policies
-        // take identical architectural transitions (hits, fills, bubble
-        // swaps, memo-table updates) — only when timing starts differs.
-        // The way memo is maintained under every policy precisely so this
-        // sharing stays valid.
-        L2Kind::Dnuca(_) => h.write_u8(3),
-        L2Kind::Cnuca(c) => {
-            h.write_u8(4);
-            h.write_u64(c.capacity.bytes());
-            h.write_u32(c.assoc);
-            h.write_u64(c.n_banks as u64);
-            h.write_u64(c.n_positions as u64);
-            // The compressibility seed is architectural — it decides which
-            // blocks may occupy the fast compressed ways, so warm-up state
-            // depends on it. `decomp_cycles` is deliberately excluded: it
-            // only delays hit completion, never an architectural
-            // transition.
-            h.write_u64(c.comp_seed);
+    }
+
+    /// Digest of the warm-up slice: the architectural knobs, the warm-up
+    /// budget, the seed and the checkpoint version. Keys the checkpoint
+    /// store. The regime is not part of it: sampled and windowed runs
+    /// share their full twin's checkpoint.
+    pub fn warmup_digest(&self) -> Digest {
+        self.digest(Slice::Warmup)
+    }
+
+    /// Digest of the architectural snapshot at absolute trace `offset`,
+    /// which seeds a sampling interval. Offset `scale.warmup` is the
+    /// warm-up boundary itself, keyed by [`RunSpec::warmup_digest`].
+    pub fn interval_digest(&self, offset: u64) -> Digest {
+        derive(INTERVAL_TAG, self.warmup_digest(), &[offset])
+    }
+
+    fn digest(&self, s: Slice) -> Digest {
+        let mut h = Hasher128::new();
+        match &self.workload {
+            Workload::App(p) => {
+                h.write_str(match s {
+                    Slice::Run => "nurapid-run-v1",
+                    Slice::Warmup => "nurapid-warmup-v1",
+                });
+                digest_profile(&mut h, p);
+            }
+            Workload::Cmp(cfg) => {
+                h.write_str(match s {
+                    Slice::Run => "nurapid-cmp-run-v1",
+                    Slice::Warmup => "nurapid-cmp-warmup-v1",
+                });
+                crate::cmp::digest_workload(&mut h, cfg, s);
+            }
         }
-        L2Kind::L4(inner, c) => {
-            h.write_u8(5);
-            digest_kind_architectural(h, inner);
-            // Geometry and hashing shape the warm resident set; the
-            // latency knobs, the SRAM tag-cache size (timing-only), and
-            // the resize schedule (measured-phase-only by construction)
-            // are deliberately excluded so their variants share one
-            // checkpoint.
-            h.write_u32(c.n_banks);
-            h.write_u64(c.bank_blocks);
-            h.write_u32(c.assoc);
-            h.write_u32(c.vnodes_per_bank);
-            h.write_u64(c.hash_seed);
-            h.write_u64(c.block_bytes);
+        self.kind.digest_into(&mut h, s);
+        h.write_u64(self.scale.warmup);
+        s.timing(&mut h, |h| h.write_u64(self.scale.measure));
+        h.write_u64(TRACE_SEED);
+        if s == Slice::Warmup {
+            h.write_u32(crate::checkpoint::CHECKPOINT_VERSION);
         }
+        h.digest()
     }
 }
 
@@ -401,29 +516,17 @@ impl AppRun {
 }
 
 /// Runs `profile` on the organization `kind` at `scale` with telemetry
-/// disabled (the common path; identical to
-/// [`run_app_telemetry`] with a disabled sink).
+/// disabled (the common path).
 pub fn run_app(profile: BenchProfile, kind: &L2Kind, scale: Scale) -> AppRun {
-    run_app_telemetry(profile, kind, scale, &TelemetrySink::disabled(), 0)
+    run_app_opts(profile, kind, scale, &TelemetrySink::disabled(), 0, RunOptions::default())
 }
 
 /// Runs `profile` on the organization `kind` at `scale`, recording
 /// metrics, cycle-stamped spans, and periodic progress snapshots (every
-/// `snap_every` cycles) into `sink`. Warm-up telemetry is discarded when
-/// the statistics reset, so the sink reflects the measured phase only —
-/// the same window the printed tables report.
-pub fn run_app_telemetry(
-    profile: BenchProfile,
-    kind: &L2Kind,
-    scale: Scale,
-    sink: &TelemetrySink,
-    snap_every: u64,
-) -> AppRun {
-    run_app_opts(profile, kind, scale, sink, snap_every, RunOptions::default())
-}
-
-/// The full-fat entry point: [`run_app_telemetry`] plus the warm-up mode,
-/// checkpoint store, and wall-clock channel of [`RunOptions`].
+/// `snap_every` cycles) into `sink`, with the warm-up mode, checkpoint
+/// store, and wall-clock channel of [`RunOptions`]. Warm-up telemetry is
+/// discarded at the drain barrier, so the sink reflects the measured
+/// phase only — the same window the printed tables report.
 pub fn run_app_opts(
     profile: BenchProfile,
     kind: &L2Kind,
@@ -432,11 +535,7 @@ pub fn run_app_opts(
     snap_every: u64,
     opts: RunOptions<'_>,
 ) -> AppRun {
-    let chk = warmup_digest(&profile, kind, scale);
-    let (core, mem) = drive(profile, kind, scale, sink, snap_every, chk, opts);
-    let report = mem.lower().report();
-    let l4 = mem.lower().main_memory().and_then(|m| m.l4_stats());
-    finish_run(profile.name, core, mem.l1_accesses(), report, l4)
+    drive(profile, kind, scale, sink, snap_every, opts, 1, |_, _| {})
 }
 
 /// Runs the warm-up instructions on `core` in the requested mode.
@@ -449,7 +548,7 @@ fn warm_up((core, gen): &mut ArchState, n: u64, mode: WarmupMode) {
 
 /// A single-core system's architectural state: the core (with its
 /// predictor, L1s and lower organization) and the trace generator.
-pub(crate) type ArchState = (OooCore<Box<dyn Organization>>, TraceGenerator);
+pub(crate) type ArchState = (Core, TraceGenerator);
 
 /// A fresh, prefilled system at trace offset zero.
 pub(crate) fn fresh_arch(profile: BenchProfile, kind: &L2Kind) -> ArchState {
@@ -482,62 +581,48 @@ pub(crate) fn load_arch((core, gen): &mut ArchState, payload: &[u8]) -> Result<(
     d.finish()
 }
 
-/// Runs prefill, warm-up (optionally restored from a checkpoint), and
-/// the drain barrier, returning a core parked at measured-phase cycle
-/// zero plus the trace generator positioned at the first measured op.
-/// Shared by [`drive`] and [`run_app_transient`], so the windowed
-/// transient runs cross the identical barrier as everything else.
-fn prepare(
-    profile: BenchProfile,
-    kind: &L2Kind,
-    scale: Scale,
-    sink: &TelemetrySink,
-    snap_every: u64,
-    chk_digest: Digest,
+/// Builds a run's warm state: `fresh`, then `warm`. With a checkpoint
+/// store the state is restored under `digest` instead — decoded from the
+/// blob on both the build and the reuse path, so cold and warm runs are
+/// structurally identical by construction — and the hit or miss is
+/// marked on the wall channel under `label`. Shared by the single-core
+/// and CMP runners.
+pub(crate) fn warm_state<S>(
     opts: RunOptions<'_>,
-) -> ArchState {
-    // Phase 1 — warm-up. Telemetry stays detached: warm-up produces
-    // architectural state only. With a checkpoint store, the state comes
-    // out of a decoded blob on both the build and the reuse path, so the
-    // cold and warm runs are structurally identical by construction.
-    let t_warm = Instant::now();
-    let (core, gen) = match opts.checkpoints {
-        Some(store) => {
-            let (state, _, hit) = store.get_or_build(
-                chk_digest,
-                || fresh_arch(profile, kind),
-                |state| {
-                    warm_up(state, scale.warmup, opts.mode);
-                    save_arch(state)
-                },
-                load_arch,
-            );
-            if let Some(w) = opts.wall {
-                let outcome = if hit { "hit" } else { "miss" };
-                w.wall_mark("simchk", &format!("{outcome}/{}", profile.name));
-            }
-            state
-        }
-        None => {
-            let mut state = fresh_arch(profile, kind);
-            warm_up(&mut state, scale.warmup, opts.mode);
-            state
-        }
+    digest: Digest,
+    label: &str,
+    mut fresh: impl FnMut() -> S,
+    warm: impl FnOnce(&mut S),
+    save: impl FnOnce(&S) -> Vec<u8>,
+    load: impl Fn(&mut S, &[u8]) -> Result<(), SnapshotError>,
+) -> S {
+    let Some(store) = opts.checkpoints else {
+        let mut state = fresh();
+        warm(&mut state);
+        return state;
     };
+    let build = |state: &mut S| {
+        warm(state);
+        save(state)
+    };
+    let (state, _, hit) = store.get_or_build(digest, fresh, build, load);
     if let Some(w) = opts.wall {
-        let cat = match opts.mode {
-            WarmupMode::FastForward => "warmup-ff",
-            WarmupMode::Timed => "warmup-timed",
-        };
-        let name = format!("{}/{}-ops", profile.name, scale.warmup);
-        w.wall_span(cat, &name, t_warm.elapsed().as_nanos() as u64);
+        let outcome = if hit { "hit" } else { "miss" };
+        w.wall_mark("simchk", &format!("{outcome}/{label}"));
     }
+    state
+}
 
-    // Drain barrier at the stats boundary (DESIGN.md §11): clear every
-    // piece of timing state, zero the statistics, and rebuild the core
-    // at cycle zero over the preserved architectural state. Both warm-up
-    // modes cross this identical barrier, which is what makes the
-    // measured phase bit-identical between them.
+/// The single-core organization behind its core and L1s.
+pub(crate) type Core = OooCore<Box<dyn Organization>>;
+
+/// The drain barrier at the stats boundary (DESIGN.md §11): clears every
+/// piece of timing state, zeroes the statistics, and rebuilds the core
+/// at cycle zero over the preserved architectural state. Every measured
+/// phase starts here — full and windowed runs and each sampling interval
+/// alike — which is what makes it independent of how the warm state was
+/// built (timed, fast-forwarded, or restored from a checkpoint).
+pub(crate) fn drain_barrier(core: Core, sink: &TelemetrySink, snap_every: u64) -> Core {
     let (mut mem, mut pred) = core.into_parts();
     mem.drain_timing();
     mem.lower_mut().drain_timing();
@@ -552,17 +637,12 @@ fn prepare(
     let mut core = OooCore::new(CoreParams::micro2003(), mem);
     core.set_predictor(pred);
     core.set_telemetry(sink.clone(), snap_every);
-    (core, gen)
+    core
 }
 
 /// Applies every resize scheduled at op index `i`, advancing the cursor.
 #[inline]
-fn apply_resizes(
-    core: &mut OooCore<Box<dyn Organization>>,
-    resizes: &[(u64, u32)],
-    next: &mut usize,
-    i: u64,
-) {
+fn apply_resizes(core: &mut Core, resizes: &[(u64, u32)], next: &mut usize, i: u64) {
     while *next < resizes.len() && resizes[*next].0 == i {
         let target = resizes[*next].1;
         let now = simbase::Cycle::new(core.cycles());
@@ -575,36 +655,69 @@ fn apply_resizes(
     }
 }
 
-/// Runs the trace through the core: [`prepare`], then the measured
-/// phase, applying any L4 resize schedule at its op indices. Dispatches
-/// through the [`Organization`] trait only — this function is identical
-/// for every plugin.
+/// The one single-core lifecycle driver: warm-up (restored from a
+/// checkpoint when the store has one), the drain barrier, then the
+/// measured phase in `n_windows` equal instruction windows, applying any
+/// L4 resize schedule at its op indices. `at_window` sees the core after
+/// each window with the measured-op count so far; it runs only at window
+/// boundaries, never per op. Dispatches through the [`Organization`]
+/// trait only — this function is identical for every plugin.
+#[allow(clippy::too_many_arguments)]
 fn drive(
     profile: BenchProfile,
     kind: &L2Kind,
     scale: Scale,
     sink: &TelemetrySink,
     snap_every: u64,
-    chk_digest: Digest,
     opts: RunOptions<'_>,
-) -> (CoreResult, CoreMemSystem<Box<dyn Organization>>) {
-    let wall = opts.wall;
-    let (mut core, mut gen) = prepare(profile, kind, scale, sink, snap_every, chk_digest, opts);
-    let resizes = kind.resize_schedule();
+    n_windows: u64,
+    mut at_window: impl FnMut(&Core, u64),
+) -> AppRun {
+    // Phase 1 — warm-up. Telemetry stays detached: warm-up produces
+    // architectural state only.
+    let t_warm = Instant::now();
+    let (core, mut gen) = warm_state(
+        opts,
+        RunSpec::app(profile, kind, scale).warmup_digest(),
+        profile.name,
+        || fresh_arch(profile, kind),
+        |state| warm_up(state, scale.warmup, opts.mode),
+        save_arch,
+        load_arch,
+    );
+    if let Some(w) = opts.wall {
+        let cat = match opts.mode {
+            WarmupMode::FastForward => "warmup-ff",
+            WarmupMode::Timed => "warmup-timed",
+        };
+        let name = format!("{}/{}-ops", profile.name, scale.warmup);
+        w.wall_span(cat, &name, t_warm.elapsed().as_nanos() as u64);
+    }
+    let mut core = drain_barrier(core, sink, snap_every);
 
     // Phase 2 — the measured run.
     let t_measure = Instant::now();
+    let resizes = kind.resize_schedule();
     let mut next_resize = 0usize;
-    for i in 0..scale.measure {
-        apply_resizes(&mut core, resizes, &mut next_resize, i);
-        let op = gen.next_op();
-        core.execute(op);
+    let mut done = 0u64;
+    for w in 1..=n_windows {
+        let end = scale.measure * w / n_windows;
+        for i in done..end {
+            apply_resizes(&mut core, resizes, &mut next_resize, i);
+            let op = gen.next_op();
+            core.execute(op);
+        }
+        done = end;
+        at_window(&core, end);
     }
-    if let Some(w) = wall {
+    if let Some(w) = opts.wall {
         w.wall_span("measure", profile.name, t_measure.elapsed().as_nanos() as u64);
     }
     let result = core.finish();
-    (result, core.into_mem())
+    let mem = core.into_mem();
+    let report = mem.lower().report();
+    let l4 = mem.lower().main_memory().and_then(|m| m.l4_stats());
+    finish_run(profile.name, result, mem.l1_accesses(), report, l4)
 }
 
 /// One window of a resize-transient run: the measured phase is split
@@ -646,27 +759,11 @@ pub fn run_app_transient(
     opts: RunOptions<'_>,
 ) -> (AppRun, Vec<TransientWindow>) {
     assert!(n_windows > 0, "a transient run needs at least one window");
-    let chk = warmup_digest(&profile, kind, scale);
-    let sink = TelemetrySink::disabled();
-    let (mut core, mut gen) = prepare(profile, kind, scale, &sink, 0, chk, opts);
-    let resizes = kind.resize_schedule();
-
     let mut windows = Vec::with_capacity(n_windows);
-    let mut next_resize = 0usize;
-    let mut done = 0u64;
-    let mut window_start = 0u64;
-    let mut prev_cycles = 0u64;
-    let mut prev_l4 = L4Stats::default();
-    let mut prev_mem = 0u64;
+    let (mut prev_end, mut prev_cycles, mut prev_l4, mut prev_mem) = (0, 0, L4Stats::default(), 0);
     let energy_model = CoreEnergyModel::micro2003();
-    for w in 0..n_windows {
-        let end = scale.measure * (w as u64 + 1) / n_windows as u64;
-        while done < end {
-            apply_resizes(&mut core, resizes, &mut next_resize, done);
-            let op = gen.next_op();
-            core.execute(op);
-            done += 1;
-        }
+    let sink = TelemetrySink::disabled();
+    let run = drive(profile, kind, scale, &sink, 0, opts, n_windows as u64, |core, end| {
         let main = core.mem().lower().main_memory();
         let l4_now = main.and_then(|m| m.l4_stats());
         let mem_now = main.map_or(0, |m| m.accesses());
@@ -676,22 +773,15 @@ pub fn run_app_transient(
             None => energy_model.memory_energy(mem_now - prev_mem),
         };
         windows.push(TransientWindow {
-            instructions: end - window_start,
+            instructions: end - prev_end,
             cycles: core.cycles() - prev_cycles,
             l4: wl4,
             n_banks: main.and_then(|m| m.l4()).map_or(0, |l| l.n_banks()),
             memory_energy,
         });
-        window_start = end;
-        prev_cycles = core.cycles();
-        prev_l4 = l4_now.unwrap_or_default();
-        prev_mem = mem_now;
-    }
-    let result = core.finish();
-    let mem = core.into_mem();
-    let report = mem.lower().report();
-    let l4 = mem.lower().main_memory().and_then(|m| m.l4_stats());
-    let run = finish_run(profile.name, result, mem.l1_accesses(), report, l4);
+        let now = (end, core.cycles(), l4_now.unwrap_or_default(), mem_now);
+        (prev_end, prev_cycles, prev_l4, prev_mem) = now;
+    });
     (run, windows)
 }
 
@@ -737,6 +827,14 @@ fn finish_run(
 mod tests {
     use super::*;
     use workloads::profiles::by_name;
+
+    fn run_digest(profile: &BenchProfile, kind: &L2Kind, scale: Scale) -> Digest {
+        RunSpec::app(*profile, kind, scale).run_digest()
+    }
+
+    fn warmup_digest(profile: &BenchProfile, kind: &L2Kind, scale: Scale) -> Digest {
+        RunSpec::app(*profile, kind, scale).warmup_digest()
+    }
 
     fn tiny() -> Scale {
         Scale {
@@ -794,44 +892,165 @@ mod tests {
         assert_eq!(a.l2_accesses, b.l2_accesses);
     }
 
-    /// The tentpole differential: for every organization, a functional
-    /// fast-forward warm-up and a full-timing warm-up produce the same
-    /// [`AppRun`] bit for bit (both cross the identical drain barrier,
-    /// so only the architectural state could differ — and it doesn't).
+    /// The warm-up oracle: for every configuration key and an L4 tier, a
+    /// functional fast-forward warm-up and a full-timing warm-up produce
+    /// the same [`AppRun`] bit for bit (both cross the identical drain
+    /// barrier, so only the architectural state could differ — and it
+    /// doesn't).
     #[test]
     fn fast_forward_and_timed_warmup_agree_bit_for_bit() {
         let app = by_name("galgel").unwrap();
-        let kinds = [
-            L2Kind::Base,
-            L2Kind::NuRapid(NuRapidConfig::micro2003(4)),
-            L2Kind::Coupled(4),
-            L2Kind::Dnuca(SearchPolicy::SsPerformance),
-        ];
+        let mut kinds: Vec<L2Kind> = crate::exps::CONFIGS.iter().map(|(_, make)| make()).collect();
+        let nf4 = L2Kind::NuRapid(NuRapidConfig::micro2003(4));
+        kinds.push(L2Kind::L4(Box::new(nf4), L4Config::tdram()));
         let sink = TelemetrySink::disabled();
         for kind in &kinds {
-            let ff = run_app_opts(
-                app,
-                kind,
-                tiny(),
-                &sink,
-                0,
-                RunOptions {
-                    mode: WarmupMode::FastForward,
-                    ..Default::default()
-                },
+            let opts = |mode| RunOptions { mode, ..Default::default() };
+            let run = |mode| run_app_opts(app, kind, tiny(), &sink, 0, opts(mode));
+            assert_eq!(
+                run(WarmupMode::FastForward),
+                run(WarmupMode::Timed),
+                "warm-up modes diverged for {kind:?}"
             );
-            let timed = run_app_opts(
-                app,
-                kind,
-                tiny(),
-                &sink,
-                0,
-                RunOptions {
-                    mode: WarmupMode::Timed,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(ff, timed, "warm-up modes diverged for {kind:?}");
+        }
+    }
+
+    /// The architectural state after a short fast-forward warm-up.
+    fn warm_bytes(kind: &L2Kind) -> Vec<u8> {
+        let mut state = fresh_arch(by_name("galgel").unwrap(), kind);
+        warm_up(&mut state, 20_000, WarmupMode::FastForward);
+        save_arch(&state)
+    }
+
+    /// Knob soundness (DESIGN.md §11): every knob tagged timing leaves
+    /// the warm-up digest and the warm architectural bytes alone but
+    /// moves the run digest; every architectural knob moves both digests.
+    /// A mislabelled knob fails here by name.
+    #[test]
+    fn every_knob_is_tagged_soundly() {
+        let app = by_name("galgel").unwrap();
+        let nf = NuRapidConfig::micro2003(4);
+        let cn = CnucaConfig::micro2003();
+        let l4 = |edit: fn(&mut L4Config)| {
+            let mut cfg = L4Config::tdram();
+            edit(&mut cfg);
+            L2Kind::L4(Box::new(L2Kind::NuRapid(nf.clone())), cfg)
+        };
+        let nurapid = |cfg| L2Kind::NuRapid(cfg);
+        let perf = L2Kind::Dnuca(SearchPolicy::SsPerformance);
+        let timing = [
+            ("nurapid.ideal", nurapid(nf.clone()), nurapid(nf.clone().with_ideal())),
+            ("dnuca.policy=ss-energy", perf.clone(), L2Kind::Dnuca(SearchPolicy::SsEnergy)),
+            ("dnuca.policy=way-memo", perf.clone(), L2Kind::Dnuca(SearchPolicy::WayMemo)),
+            (
+                "cnuca.decomp_cycles",
+                L2Kind::Cnuca(cn),
+                L2Kind::Cnuca(CnucaConfig { decomp_cycles: cn.decomp_cycles + 3, ..cn }),
+            ),
+            ("l4.tag_sram_latency", l4(|_| {}), l4(|c| c.tag_sram_latency += 1)),
+            ("l4.tag_probe_latency", l4(|_| {}), l4(|c| c.tag_probe_latency += 1)),
+            ("l4.base_latency", l4(|_| {}), l4(|c| c.base_latency += 20)),
+            ("l4.cycles_per_8b", l4(|_| {}), l4(|c| c.cycles_per_8b += 1)),
+            ("l4.tag_cache_entries", l4(|_| {}), l4(|c| c.tag_cache_entries *= 2)),
+            ("l4.resizes", l4(|_| {}), l4(|c| c.resizes = vec![(1_000, 4)])),
+        ];
+        for (name, base, knob) in &timing {
+            let (b, k) = (RunSpec::app(app, base, tiny()), RunSpec::app(app, knob, tiny()));
+            let same = warm_bytes(base) == warm_bytes(knob);
+            let warmups = (b.warmup_digest(), k.warmup_digest());
+            assert_eq!(warmups.0, warmups.1, "{name}: timing knob in the warm-up digest");
+            assert_ne!(b.run_digest(), k.run_digest(), "{name}: knob missing from the run digest");
+            assert!(same, "{name}: timing knob changed warm-up state");
+        }
+
+        let arch = [
+            ("kind", L2Kind::Base, L2Kind::Coupled(4)),
+            ("coupled.n", L2Kind::Coupled(4), L2Kind::Coupled(8)),
+            (
+                "nurapid.capacity",
+                nurapid(nf.clone()),
+                nurapid(NuRapidConfig { capacity: simbase::Capacity::from_mib(4), ..nf.clone() }),
+            ),
+            (
+                "nurapid.assoc",
+                nurapid(nf.clone()),
+                nurapid(NuRapidConfig { assoc: 4, ..nf.clone() }),
+            ),
+            ("nurapid.n_dgroups", nurapid(nf.clone()), nurapid(NuRapidConfig::micro2003(8))),
+            (
+                "nurapid.promotion",
+                nurapid(nf.clone()),
+                nurapid(nf.clone().with_promotion(PromotionPolicy::Fastest)),
+            ),
+            (
+                "nurapid.distance_victim",
+                nurapid(nf.clone()),
+                nurapid(nf.clone().with_distance_victim(DistanceVictimPolicy::Lru)),
+            ),
+            (
+                "nurapid.seed",
+                nurapid(nf.clone()),
+                nurapid(NuRapidConfig { seed: nf.seed ^ 1, ..nf.clone() }),
+            ),
+            (
+                "nurapid.frames_per_region",
+                nurapid(nf.clone()),
+                nurapid(nf.clone().with_frames_per_region(64)),
+            ),
+            (
+                "cnuca.capacity",
+                L2Kind::Cnuca(cn),
+                L2Kind::Cnuca(CnucaConfig { capacity: simbase::Capacity::from_mib(4), ..cn }),
+            ),
+            (
+                "cnuca.assoc",
+                L2Kind::Cnuca(cn),
+                L2Kind::Cnuca(CnucaConfig { assoc: cn.assoc * 2, ..cn }),
+            ),
+            (
+                "cnuca.n_banks",
+                L2Kind::Cnuca(cn),
+                L2Kind::Cnuca(CnucaConfig { n_banks: cn.n_banks / 2, ..cn }),
+            ),
+            (
+                "cnuca.n_positions",
+                L2Kind::Cnuca(cn),
+                L2Kind::Cnuca(CnucaConfig { n_positions: cn.n_positions / 2, ..cn }),
+            ),
+            (
+                "cnuca.comp_seed",
+                L2Kind::Cnuca(cn),
+                L2Kind::Cnuca(CnucaConfig { comp_seed: cn.comp_seed ^ 1, ..cn }),
+            ),
+            ("l4.inner", l4(|_| {}), L2Kind::L4(Box::new(L2Kind::Base), L4Config::tdram())),
+            ("l4.n_banks", l4(|_| {}), l4(|c| c.n_banks = 4)),
+            ("l4.bank_blocks", l4(|_| {}), l4(|c| c.bank_blocks /= 2)),
+            ("l4.assoc", l4(|_| {}), l4(|c| c.assoc /= 2)),
+            ("l4.vnodes_per_bank", l4(|_| {}), l4(|c| c.vnodes_per_bank += 1)),
+            ("l4.hash_seed", l4(|_| {}), l4(|c| c.hash_seed ^= 1)),
+            ("l4.block_bytes", l4(|_| {}), l4(|c| c.block_bytes *= 2)),
+        ];
+        for (name, base, knob) in &arch {
+            let (b, k) = (RunSpec::app(app, base, tiny()), RunSpec::app(app, knob, tiny()));
+            assert_ne!(b.warmup_digest(), k.warmup_digest(), "{name}: architectural knob missing");
+            assert_ne!(b.run_digest(), k.run_digest(), "{name}: knob missing from the run digest");
+        }
+
+        // The budget and the workload: the measured budget is timing, the
+        // warm-up budget and the profile are architectural.
+        let nf = nurapid(nf);
+        let base = RunSpec::app(app, &nf, tiny());
+        let longer = Scale { measure: tiny().measure + 1, ..tiny() };
+        let measured = RunSpec::app(app, &nf, longer);
+        assert_eq!(base.warmup_digest(), measured.warmup_digest(), "scale.measure");
+        assert_ne!(base.run_digest(), measured.run_digest(), "scale.measure");
+        let warmer = Scale { warmup: tiny().warmup + 1, ..tiny() };
+        for (name, k) in [
+            ("scale.warmup", RunSpec::app(app, &nf, warmer)),
+            ("profile", RunSpec::app(by_name("mcf").unwrap(), &nf, tiny())),
+        ] {
+            assert_ne!(base.warmup_digest(), k.warmup_digest(), "{name}");
+            assert_ne!(base.run_digest(), k.run_digest(), "{name}");
         }
     }
 
@@ -906,45 +1125,6 @@ mod tests {
         );
         assert_eq!(id_direct, id_chk);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn warmup_digest_shares_across_timing_only_knobs() {
-        let app = by_name("galgel").unwrap();
-        let nf = L2Kind::NuRapid(NuRapidConfig::micro2003(4));
-        let id = L2Kind::NuRapid(NuRapidConfig::micro2003(4).with_ideal());
-        assert_eq!(warmup_digest(&app, &nf, tiny()), warmup_digest(&app, &id, tiny()));
-
-        let perf = L2Kind::Dnuca(SearchPolicy::SsPerformance);
-        let energy = L2Kind::Dnuca(SearchPolicy::SsEnergy);
-        let memo = L2Kind::Dnuca(SearchPolicy::WayMemo);
-        assert_eq!(
-            warmup_digest(&app, &perf, tiny()),
-            warmup_digest(&app, &energy, tiny())
-        );
-        // Way memoization only redirects the probe path; the memo table
-        // is rebuilt from scratch after restore, so all three policies
-        // share one warm checkpoint.
-        assert_eq!(
-            warmup_digest(&app, &perf, tiny()),
-            warmup_digest(&app, &memo, tiny())
-        );
-
-        // The decompressor pipeline depth is pure timing: compressed
-        // NUCA shares its warm state across `decomp_cycles` settings.
-        let mut slow = CnucaConfig::micro2003();
-        slow.decomp_cycles += 3;
-        assert_eq!(
-            warmup_digest(&app, &L2Kind::Cnuca(CnucaConfig::micro2003()), tiny()),
-            warmup_digest(&app, &L2Kind::Cnuca(slow), tiny())
-        );
-
-        // The measured budget is warm-up-irrelevant too.
-        let longer = Scale {
-            warmup: tiny().warmup,
-            measure: tiny().measure + 1,
-        };
-        assert_eq!(warmup_digest(&app, &nf, tiny()), warmup_digest(&app, &nf, longer));
     }
 
     #[test]

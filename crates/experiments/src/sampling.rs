@@ -20,8 +20,8 @@
 //!    state at its first window's trace offset — produced by one
 //!    sequential functional prefix pass (interval k's snapshot continues
 //!    from where interval k−1's left off) and keyed by
-//!    [`interval_digest`] in the [`CheckpointStore`], so a warm store
-//!    skips the prefix entirely. The detailed intervals then run as
+//!    [`RunSpec::interval_digest`] in the [`crate::CheckpointStore`], so a
+//!    warm store skips the prefix entirely. The detailed intervals then run as
 //!    independent jobs on [`simsched::pool`], whose results come back in
 //!    job order for any thread count; stitching is therefore plain
 //!    concatenation in trace order, and the merged result is
@@ -38,16 +38,16 @@
 //! only — the documented, quantified sampling error (`--exp sampling`).
 
 use crate::runner::{
-    fresh_arch, load_arch, save_arch, warmup_digest, AppRun, ArchState, L2Kind, RunOptions, Scale,
+    drain_barrier, fresh_arch, load_arch, save_arch, AppRun, ArchState, L2Kind, RunOptions,
+    RunSpec, Scale,
 };
-use cpu::{CoreParams, CoreResult, OooCore};
+use cpu::CoreResult;
 use energy::core::CoreEnergyModel;
 use energy::EnergyTally;
 use memsys::dramcache::L4Stats;
-use simbase::digest::{Digest, Hasher128};
 use simbase::EnergyNj;
 use simsched::pool;
-use simtel::Telemetry;
+use simtel::{Telemetry, TelemetrySink};
 use std::sync::Arc;
 use std::time::Instant;
 use workloads::BenchProfile;
@@ -89,13 +89,6 @@ impl SampleSpec {
     /// Detailed (timed) instructions per window, discarded + observed.
     pub fn detailed_per_window(&self) -> u64 {
         self.warmup + self.measure
-    }
-
-    /// Feeds every field into `h` (part of every sampled digest).
-    pub fn digest_into(&self, h: &mut Hasher128) {
-        h.write_u64(self.period);
-        h.write_u64(self.warmup);
-        h.write_u64(self.measure);
     }
 }
 
@@ -289,49 +282,6 @@ impl SampledRun {
     }
 }
 
-/// Digest keying interval k's architectural snapshot: the warm-up digest
-/// (application, architectural configuration slice, warm-up budget,
-/// seed, checkpoint version) under a distinct domain tag, plus the
-/// absolute trace offset the snapshot was taken at. Timing-only knobs
-/// are excluded exactly as for warm-up checkpoints, so every timing
-/// variant of a configuration shares one snapshot chain. Offset 0 (the
-/// warm-up boundary) is keyed by [`warmup_digest`] itself — interval 0
-/// reuses the ordinary warm-up checkpoint.
-pub fn interval_digest(
-    profile: &BenchProfile,
-    kind: &L2Kind,
-    scale: Scale,
-    offset: u64,
-) -> Digest {
-    let mut h = Hasher128::new();
-    h.write_str("nurapid-sample-snap-v1");
-    let raw = warmup_digest(profile, kind, scale).raw();
-    h.write_u64((raw >> 64) as u64);
-    h.write_u64(raw as u64);
-    h.write_u64(offset);
-    h.digest()
-}
-
-/// Digest of one sampled job: the plain run digest under a distinct
-/// domain tag, plus every sampling knob. A sampled run can never alias
-/// its unsampled twin (or a different regime) in a store or on disk.
-pub fn sampled_digest(
-    profile: &BenchProfile,
-    kind: &L2Kind,
-    scale: Scale,
-    spec: SampleSpec,
-    intervals: u64,
-) -> Digest {
-    let mut h = Hasher128::new();
-    h.write_str("nurapid-sampled-v1");
-    let raw = crate::runner::run_digest(profile, kind, scale).raw();
-    h.write_u64((raw >> 64) as u64);
-    h.write_u64(raw as u64);
-    spec.digest_into(&mut h);
-    h.write_u64(intervals);
-    h.digest()
-}
-
 /// Runs `profile` on `kind` at `scale` under the sampling regime `spec`,
 /// split into `intervals` interval jobs executed on up to `threads`
 /// worker threads. The result is **bit-identical for any thread count
@@ -382,12 +332,13 @@ pub fn run_app_sampled(
     let t_prefix = Instant::now();
     let mut blobs: Vec<Arc<Vec<u8>>> = Vec::with_capacity(k as usize);
     let mut cur: Option<ArchState> = None;
+    let run = RunSpec::app(profile, kind, scale);
     for i in 0..k {
         let abs = scale.warmup + w0(i) * spec.period;
         let digest = if abs == scale.warmup {
-            warmup_digest(&profile, kind, scale)
+            run.warmup_digest()
         } else {
-            interval_digest(&profile, kind, scale, abs)
+            run.interval_digest(abs)
         };
         let advance = |state: &mut ArchState| {
             state.0.warm_run_to(&mut state.1, abs);
@@ -472,18 +423,7 @@ fn run_interval(
     let mut state = fresh_arch(profile, kind);
     load_arch(&mut state, blob).expect("interval snapshot: checked by the chain");
     let (core, mut gen) = state;
-
-    // Drain barrier: zero the statistics and rebuild the core at cycle 0
-    // over the restored architectural state — identical to the barrier an
-    // unsampled run crosses, so a window's counters start clean.
-    let (mut mem, mut pred) = core.into_parts();
-    mem.drain_timing();
-    mem.lower_mut().drain_timing();
-    mem.reset_stats();
-    mem.lower_mut().reset_stats();
-    pred.reset_counters();
-    let mut core = OooCore::new(CoreParams::micro2003(), mem);
-    core.set_predictor(pred);
+    let mut core = drain_barrier(core, &TelemetrySink::disabled(), 0);
 
     let model = CoreEnergyModel::micro2003();
     let mut out = Vec::with_capacity((last - first) as usize);
@@ -641,6 +581,17 @@ mod tests {
             warmup: 30_000,
             measure: 60_000,
         }
+    }
+
+    fn sampled_digest(
+        profile: &BenchProfile,
+        kind: &L2Kind,
+        scale: Scale,
+        spec: SampleSpec,
+        intervals: u64,
+    ) -> simbase::digest::Digest {
+        let regime = crate::runner::Regime::Sampled { spec, intervals };
+        RunSpec { regime, ..RunSpec::app(*profile, kind, scale) }.run_digest()
     }
 
     fn tiny_spec() -> SampleSpec {
@@ -811,7 +762,7 @@ mod tests {
         );
         assert_ne!(
             sampled_digest(&app, &kind, tiny(), tiny_spec(), 2).raw(),
-            crate::runner::run_digest(&app, &kind, tiny()).raw(),
+            RunSpec::app(app, &kind, tiny()).run_digest().raw(),
             "sampled and unsampled runs must never alias"
         );
     }

@@ -472,7 +472,7 @@ fn undecodable_checkpoint_payloads_are_rebuilt_bit_identically() {
     let cold = CheckpointStore::open(&cold_dir).expect("open");
     let want = experiments::runner::run_app_opts(app, &kind, scale, &sink, 0, with(&cold));
     assert_eq!(plant_undecodable(&cold_dir, &bad_dir), 1);
-    let digest = experiments::warmup_digest(&app, &kind, scale);
+    let digest = experiments::RunSpec::app(app, &kind, scale).warmup_digest();
     assert!(bad_dir.join(format!("{}.simchk", digest.hex())).exists());
     let bad = CheckpointStore::open(&bad_dir).expect("open");
     let got = experiments::runner::run_app_opts(app, &kind, scale, &sink, 0, with(&bad));
