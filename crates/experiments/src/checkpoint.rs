@@ -162,8 +162,8 @@ impl CheckpointStore {
         let blob = self.blobs.get_or_compute(digest.raw(), || {
             let path = self.path_of(digest);
             if let Ok(bytes) = std::fs::read(&path) {
-                if let Ok(payload) = snapshot::open(&bytes, CHECKPOINT_VERSION) {
-                    if load(&mut state, payload).is_ok() {
+                if let Ok(payload) = snapshot::open_owned(bytes, CHECKPOINT_VERSION) {
+                    if load(&mut state, &payload).is_ok() {
                         // Refresh the file's recency so the LRU pruner
                         // ranks live checkpoints above abandoned ones
                         // (best-effort; a read-only directory just loses
@@ -172,7 +172,7 @@ impl CheckpointStore {
                             let _ = f.set_modified(std::time::SystemTime::now());
                         }
                         loaded = true;
-                        return payload.to_vec();
+                        return payload;
                     }
                     self.corrupt.fetch_add(1, Ordering::Relaxed);
                     state = fresh();
@@ -180,7 +180,6 @@ impl CheckpointStore {
             }
             built = true;
             let payload = build(&mut state);
-            let sealed = snapshot::seal(CHECKPOINT_VERSION, &payload);
             // The temp name must be unique per writer: the in-process
             // store single-flights builders, but two *stores* over the
             // same directory (two `repro` processes, a sweep racing a CI
@@ -198,8 +197,15 @@ impl CheckpointStore {
                 std::process::id(),
                 TMP_SEQ.fetch_add(1, Ordering::Relaxed)
             ));
-            if std::fs::write(&tmp, &sealed).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
+            // The seal streams straight into the file (no sealed copy of
+            // the payload), and a failed write or rename removes the
+            // temp file: `prune_to_budget` only sees `.simchk` files, so
+            // a leaked one would never be cleaned up.
+            let published = std::fs::File::create(&tmp)
+                .and_then(|f| snapshot::seal_to(f, CHECKPOINT_VERSION, &payload))
+                .and_then(|()| std::fs::rename(&tmp, &path));
+            if published.is_err() {
+                let _ = std::fs::remove_file(&tmp);
             }
             payload
         });
@@ -443,6 +449,40 @@ mod tests {
             // winner's identical file — so no .tmp may survive.)
             assert!(leftovers.is_empty(), "round {round}: leftover temp files {leftovers:?}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn published_files_equal_the_sealed_payload() {
+        let dir = temp_dir("sealed");
+        let store = CheckpointStore::open(&dir).expect("open");
+        let payload: Vec<u8> = (0..200_000).map(|i| (i % 253) as u8).collect();
+        bytes(&store, digest(6), || payload.clone());
+        let written = std::fs::read(store.path_of(digest(6))).expect("published");
+        assert_eq!(written, snapshot::seal(CHECKPOINT_VERSION, &payload));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_publish_leaves_no_temp_file() {
+        // A non-empty directory squatting on the checkpoint's name makes
+        // the rename fail; the run must still get its state, the build
+        // counts as a miss, and the temp file must not survive.
+        let dir = temp_dir("failed-publish");
+        let store = CheckpointStore::open(&dir).expect("open");
+        let squat = store.path_of(digest(7));
+        std::fs::create_dir_all(squat.join("occupied")).expect("plant directory");
+        let (blob, hit) = bytes(&store, digest(7), || vec![7; 64]);
+        assert!(!hit);
+        assert_eq!(*blob, vec![7; 64]);
+        assert_eq!((store.hits(), store.misses(), store.corrupt()), (0, 1, 0));
+        let temps: Vec<_> = std::fs::read_dir(&dir)
+            .expect("readdir")
+            .filter_map(Result::ok)
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .collect();
+        assert!(temps.is_empty(), "leaked temp files {temps:?}");
+        assert!(squat.is_dir(), "the squatting directory is left alone");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

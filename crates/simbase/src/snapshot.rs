@@ -32,6 +32,7 @@
 
 use crate::digest::Hasher128;
 use std::fmt;
+use std::io::{self, Write};
 
 /// Container magic: "SIMCHK" plus a two-byte layout revision.
 pub const MAGIC: [u8; 8] = *b"SIMCHK\x00\x01";
@@ -78,14 +79,32 @@ impl std::error::Error for SnapshotError {}
 /// Wraps `payload` in the versioned, checksummed container.
 pub fn seal(version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + OVERHEAD);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let mut h = Hasher128::new();
-    h.write_bytes(&out);
-    out.extend_from_slice(&h.digest().raw().to_le_bytes());
+    seal_to(&mut out, version, payload).expect("writing to a Vec cannot fail");
     out
+}
+
+/// Streams the container [`seal`] builds into `w` — header, payload,
+/// checksum — without a sealed copy of the payload in memory. The
+/// checksum is byte-serial, so hashing each chunk just before writing it
+/// gives exactly [`seal`]'s bytes.
+///
+/// # Errors
+///
+/// Propagates the first write error; `w` may then hold a partial
+/// container.
+pub fn seal_to(mut w: impl Write, version: u32, payload: &[u8]) -> io::Result<()> {
+    let mut header = [0u8; 20];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..12].copy_from_slice(&version.to_le_bytes());
+    header[12..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    let mut h = Hasher128::new();
+    h.write_bytes(&header);
+    w.write_all(&header)?;
+    for chunk in payload.chunks(1 << 16) {
+        h.write_bytes(chunk);
+        w.write_all(chunk)?;
+    }
+    w.write_all(&h.digest().raw().to_le_bytes())
 }
 
 /// Validates a sealed container and returns its payload slice.
@@ -129,6 +148,20 @@ pub fn open(bytes: &[u8], expected_version: u32) -> Result<&[u8], SnapshotError>
         return Err(SnapshotError::ChecksumMismatch);
     }
     Ok(&bytes[20..20 + len])
+}
+
+/// [`open`] for an owned container: validates `bytes` exactly as
+/// [`open`] does, then strips the header and checksum in place and
+/// returns the payload in the same allocation.
+///
+/// # Errors
+///
+/// The same [`SnapshotError`] [`open`] reports for these bytes.
+pub fn open_owned(mut bytes: Vec<u8>, expected_version: u32) -> Result<Vec<u8>, SnapshotError> {
+    let len = open(&bytes, expected_version)?.len();
+    bytes.copy_within(20..20 + len, 0);
+    bytes.truncate(len);
+    Ok(bytes)
 }
 
 /// Little-endian primitive writer for snapshot payloads.
@@ -337,6 +370,62 @@ mod tests {
         let sealed = seal(3, &payload);
         assert_eq!(sealed.len(), payload.len() + OVERHEAD);
         assert_eq!(open(&sealed, 3).unwrap(), payload.as_slice());
+    }
+
+    #[test]
+    fn seal_to_streams_the_sealed_bytes() {
+        // Payloads around the chunk size exercise the chunked checksum.
+        for len in [0usize, 1, 100, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 16] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+            let mut streamed = Vec::new();
+            seal_to(&mut streamed, 4, &payload).unwrap();
+            assert_eq!(streamed, seal(4, &payload), "len {len}");
+        }
+    }
+
+    #[test]
+    fn open_owned_agrees_with_open() {
+        let sealed = seal(3, b"architectural state");
+        let mut truncated_payload = sealed.clone();
+        truncated_payload.truncate(sealed.len() - 1);
+        let mut corrupt = sealed.clone();
+        corrupt[25] ^= 0x01;
+        let mut bad_magic = sealed.clone();
+        bad_magic[0] ^= 0xFF;
+        let mut trailing = sealed.clone();
+        trailing.push(0);
+        let mut overflow = sealed.clone();
+        overflow[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        let cases: Vec<(&str, Vec<u8>, u32)> = vec![
+            ("valid", sealed.clone(), 3),
+            ("empty payload", seal(3, &[]), 3),
+            ("version", sealed.clone(), 4),
+            ("bad magic", bad_magic, 3),
+            ("not a snapshot", b"not a snapshot at all".to_vec(), 3),
+            ("short magic", MAGIC[..5].to_vec(), 3),
+            ("cut header", sealed[..10].to_vec(), 3),
+            ("cut payload", truncated_payload, 3),
+            ("checksum", corrupt, 3),
+            ("trailing", trailing, 3),
+            ("length overflow", overflow, 3),
+        ];
+        let mut seen = Vec::new();
+        for (what, bytes, version) in cases {
+            let want = open(&bytes, version).map(<[u8]>::to_vec);
+            let got = open_owned(bytes, version);
+            assert_eq!(got, want, "{what}");
+            seen.push(got.map(|_| "ok").unwrap_or_else(|e| match e {
+                SnapshotError::Truncated => "truncated",
+                SnapshotError::BadMagic => "magic",
+                SnapshotError::VersionMismatch { .. } => "version",
+                SnapshotError::ChecksumMismatch => "checksum",
+                SnapshotError::Malformed(_) => "malformed",
+            }));
+        }
+        // Every outcome `open` can report is among the cases.
+        for outcome in ["ok", "truncated", "magic", "version", "checksum", "malformed"] {
+            assert!(seen.contains(&outcome), "no case reports {outcome}");
+        }
     }
 
     #[test]
